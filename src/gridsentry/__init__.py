@@ -25,7 +25,6 @@ from .frames import (
     encode_goose,
     encode_sv,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 from .llm import (
     ChatClientConfig,
     DetectorResponse,

@@ -20,8 +20,6 @@ ETHERTYPE_GOOSE = 0x88B8
 ETHERTYPE_SV = 0x88BA
 ETHERTYPE_VLAN = 0x8100
 
-SMP_CNT_MAX = 4799
-
 # TLV tags (context-specific, definite length)
 _TAG_GOOSE_PDU = 0x61
 _TAG_GOCB_REF = 0x80
@@ -82,17 +80,13 @@ class SvApdu:
     svID: str
     smpCnt: int
 
-    def validate(self, for_encode=False):
+    def validate(self):
         if not self.svID:
             raise InvariantViolationError("SvApdu.svID must be non-empty")
         if not 0 <= self.appid < (1 << 16):
             raise InvariantViolationError(f"SvApdu.appid={self.appid} out of range")
         if not 0 <= self.smpCnt < (1 << 16):
             raise InvariantViolationError(f"SvApdu.smpCnt={self.smpCnt} out of 16-bit range")
-        if for_encode and self.smpCnt > SMP_CNT_MAX:
-            raise InvariantViolationError(
-                f"SvApdu.smpCnt={self.smpCnt} exceeds {SMP_CNT_MAX} on encode"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +321,12 @@ def decode_sv(frame: RawFrame) -> SvApdu:
 
 
 def encode_sv(apdu: SvApdu, dst_mac: bytes, src_mac: bytes, timestamp: int) -> RawFrame:
-    """Build an SV RawFrame; smpCnt must be within [0, 4799]."""
-    apdu.validate(for_encode=True)
+    """Build an SV RawFrame; smpCnt may take any 16-bit value, as on decode.
+
+    Values above 4799 are representable on the wire; flagging them is the
+    rule engine's job (S_DI_1), not the codec's.
+    """
+    apdu.validate()
     asdu = _encode_tlv(_TAG_SV_ID, apdu.svID.encode("ascii"))
     asdu += _encode_tlv(_TAG_SMP_CNT, apdu.smpCnt.to_bytes(2, "big"))
     body = _encode_tlv(_TAG_NO_ASDU, b"\x01")

@@ -8,7 +8,6 @@ canned reply files, or a mock that runs the rule engine internally.
 
 import json
 import os
-import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -147,21 +146,29 @@ def build_prompts(dataset: LabeledDataset, rules: RuleSet,
     return bundles
 
 
-_JSON_OBJ = re.compile(r"\{[^{}]*\}", re.DOTALL)
+def _find_anomalies_object(raw: str) -> Optional[dict]:
+    """First JSON object, nested ones included, that has an "anomalies" key.
+
+    Decoding starts at every "{" in turn, so an object that carries nested
+    objects (reasons, wrappers) is read whole rather than skipped.
+    """
+    decoder = json.JSONDecoder()
+    start = raw.find("{")
+    while start != -1:
+        try:
+            obj, _ = decoder.raw_decode(raw, start)
+        except (ValueError, RecursionError):  # not JSON here, or nested too deep
+            obj = None
+        if isinstance(obj, dict) and "anomalies" in obj:
+            return obj
+        start = raw.find("{", start + 1)
+    return None
 
 
 def parse_response(raw: str, window_len: int) -> DetectorResponse:
     """Pull {"anomalies": [...]} out of a possibly chatty reply."""
     warnings: List[str] = []
-    payload = None
-    for match in _JSON_OBJ.finditer(raw):
-        try:
-            obj = json.loads(match.group(0))
-        except ValueError:
-            continue
-        if isinstance(obj, dict) and "anomalies" in obj:
-            payload = obj
-            break
+    payload = _find_anomalies_object(raw)
     if payload is None or not isinstance(payload.get("anomalies"), list):
         warnings.append("unparseable-response: no anomalies object found; "
                         "window scored all-normal")

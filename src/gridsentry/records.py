@@ -202,7 +202,7 @@ def dataset_to_frames(dataset: LabeledDataset) -> List[RawFrame]:
             )
             out.append(_frames.encode_goose(apdu, dst, src, rec.time_us))
         else:
-            apdu = _frames.SvApdu(appid=rec.appid, svID=rec.svID, smpCnt=min(rec.smpCnt, 4799))
+            apdu = _frames.SvApdu(appid=rec.appid, svID=rec.svID, smpCnt=rec.smpCnt)
             out.append(_frames.encode_sv(apdu, dst, src, rec.time_us))
     return out
 

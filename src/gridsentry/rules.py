@@ -11,7 +11,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
-from . import kernels
 from .errors import (
     InputOrderError,
     InvariantViolationError,
@@ -179,25 +178,19 @@ def _check_stream(state: StreamState, rec, protocol: str):
         )
 
 
-def _dos_check(state: StreamState, time_us: int, window_us: int, max_packets: int,
-               dos_flag: Optional[bool]) -> bool:
+def _dos_check(state: StreamState, time_us: int, window_us: int, max_packets: int) -> bool:
+    """True iff more than ``max_packets`` arrivals, this one included, fall in
+    the closed window [time_us - window_us, time_us]."""
     floor = time_us - window_us
     while state.dos_window and state.dos_window[0] < floor:
         state.dos_window.popleft()
     state.dos_window.append(time_us)
-    if dos_flag is not None:
-        return dos_flag
     return len(state.dos_window) > max_packets
 
 
 def step_goose(state: StreamState, rec: GooseRecord, rules: RuleSet,
-               index: int = 0, dos_flag: Optional[bool] = None
-               ) -> Tuple[StreamState, List[Verdict]]:
-    """Advance one GOOSE stream by one record; returns (state, verdicts).
-
-    ``dos_flag`` lets a batch driver hand in a precomputed sliding-window
-    result; standalone calls leave it None and the state's own window is used.
-    """
+               index: int = 0) -> Tuple[StreamState, List[Verdict]]:
+    """Advance one GOOSE stream by one record; returns (state, verdicts)."""
     _check_stream(state, rec, "GOOSE")
     enabled = rules.enabled
     cfg = rules.thresholds
@@ -237,7 +230,7 @@ def step_goose(state: StreamState, rec: GooseRecord, rules: RuleSet,
                                     f"{state.last_sq_num}) was observed"))
 
     dos = _dos_check(state, rec.time_us, cfg.goose_dos_window_us,
-                     cfg.goose_dos_max_packets, dos_flag)
+                     cfg.goose_dos_max_packets)
     if RuleId.G_DOS_1 in enabled and dos:
         verdicts.append(Verdict(index, Label.DOS, RuleId.G_DOS_1,
                                 f"more than {cfg.goose_dos_max_packets} packets within "
@@ -252,8 +245,7 @@ def step_goose(state: StreamState, rec: GooseRecord, rules: RuleSet,
 
 
 def step_sv(state: StreamState, rec: SvRecord, rules: RuleSet,
-            index: int = 0, dos_flag: Optional[bool] = None
-            ) -> Tuple[StreamState, List[Verdict]]:
+            index: int = 0) -> Tuple[StreamState, List[Verdict]]:
     """Advance one SV stream by one record; returns (state, verdicts)."""
     _check_stream(state, rec, "SV")
     enabled = rules.enabled
@@ -292,7 +284,7 @@ def step_sv(state: StreamState, rec: SvRecord, rules: RuleSet,
                                     f"(nominal {cfg.sv_nominal_interval_us:.2f} us)"))
 
     dos = _dos_check(state, rec.time_us, cfg.sv_dos_window_us,
-                     cfg.sv_dos_max_packets, dos_flag)
+                     cfg.sv_dos_max_packets)
     if RuleId.S_DOS_2 in enabled and dos:
         verdicts.append(Verdict(index, Label.DOS, RuleId.S_DOS_2,
                                 f"more than {cfg.sv_dos_max_packets} packets within "
@@ -306,32 +298,25 @@ def step_sv(state: StreamState, rec: SvRecord, rules: RuleSet,
 def detect_batch(dataset: LabeledDataset, rules: RuleSet) -> List[Verdict]:
     """Run the steppers over every stream of a dataset, in time order.
 
-    Sliding-window DoS flags are computed per stream with the batch kernel
-    (compiled when available) and handed to the steppers.
+    Each stream gets a fresh ``StreamState`` and is stepped record by record,
+    exactly as a streaming caller of ``step_goose``/``step_sv`` would; the
+    verdicts of all streams are merged in record order.
     """
     dataset.validate()
     if rules.level == Level.WITHOUT:
         return []
     step = step_goose if dataset.protocol == "GOOSE" else step_sv
-    if dataset.protocol == "GOOSE":
-        window = rules.thresholds.goose_dos_window_us
-        max_packets = rules.thresholds.goose_dos_max_packets
-    else:
-        window = rules.thresholds.sv_dos_window_us
-        max_packets = rules.thresholds.sv_dos_max_packets
 
     by_stream: Dict[StreamKey, List[int]] = {}
     for i, rec in enumerate(dataset.records):
         by_stream.setdefault(StreamKey.of(rec), []).append(i)
 
     all_verdicts: List[Verdict] = []
-    for key, indices in by_stream.items():
-        timestamps = [dataset.records[i].time_us for i in indices]
-        flags = kernels.dos_window_flags(timestamps, window, max_packets)
+    for indices in by_stream.values():
         state = StreamState()
         last_index = None
-        for i, flag in zip(indices, flags):
-            _, verdicts = step(state, dataset.records[i], rules, index=i, dos_flag=flag)
+        for i in indices:
+            _, verdicts = step(state, dataset.records[i], rules, index=i)
             all_verdicts.extend(verdicts)
             last_index = i
         capture_end = dataset.meta.get("capture_end_us")

@@ -10,19 +10,22 @@ import numpy as np
 from gridsentry.cli import main as cli_main
 from gridsentry.frames import GooseApdu, RawFrame, SvApdu, decode_goose, decode_sv, \
     encode_goose, encode_sv
-from gridsentry.kernels import dos_window_flags
 from gridsentry.errors import ToolkitError
 from gridsentry.llm import ChatClientConfig, RulesMockClient, detect_llm
 from gridsentry.metrics import ConfusionCounts, confusion, metrics
 from gridsentry.pcapio import read_pcap, write_pcap
-from gridsentry.records import Label, save_jsonl
+from gridsentry.records import GooseRecord, Label, SvRecord, save_jsonl
 from gridsentry.rules import (
     Level,
     RuleId,
     RuleSet,
+    StreamState,
+    TimingConfig,
     detect_batch,
     is_cyclic_successor,
     rule_class,
+    step_goose,
+    step_sv,
     verdicts_to_predictions,
 )
 from gridsentry.simulate import ScenarioConfig, gen_sv_normal, make_eval_set
@@ -95,16 +98,42 @@ def _brute_force_flags(ts, window, cap):
     return (np.logical_and(within, earlier).sum(axis=1) > cap).tolist()
 
 
+def _stepper_window_flags(protocol, ts, window, cap):
+    """Per-arrival window DoS verdicts (G_DOS_1 from step_goose, S_DOS_2 from
+    step_sv) of one stream whose records arrive at ``ts``."""
+    if protocol == "GOOSE":
+        thresholds = TimingConfig(goose_dos_window_us=window, goose_dos_max_packets=cap)
+        step, rule = step_goose, RuleId.G_DOS_1
+        records = [GooseRecord(time_us=t, dm="01:0c:cd:01:00:03", sm="00:00:00:27:34:31",
+                               ethertype=0x88B8, appid=3, datSet="d", goID="i",
+                               gocbRef="ref", stNum=1, sqNum=i, data1=False, data2=False)
+                   for i, t in enumerate(ts)]
+    else:
+        thresholds = TimingConfig(sv_dos_window_us=window, sv_dos_max_packets=cap)
+        step, rule = step_sv, RuleId.S_DOS_2
+        records = [SvRecord(time_us=t, dm="01:0c:cd:04:00:01", sm="00:00:00:27:34:31",
+                            ethertype=0x88BA, appid=0x40, svID="MU01", smpCnt=i % 4800)
+                   for i, t in enumerate(ts)]
+    rules = RuleSet.for_level(Level.FULL, thresholds)
+    state = StreamState()
+    flags = []
+    for i, rec in enumerate(records):
+        state, verdicts = step(state, rec, rules, index=i)
+        flags.append(any(v.rule == rule for v in verdicts))
+    return flags
+
+
 def test_criterion_4_dos_window_oracle():
-    """The sliding-window kernel matches the quadratic oracle on 1,000
-    random multisets for both protocol thresholds."""
+    """The steppers' sliding window matches the quadratic oracle on 1,000
+    random multisets for both protocol thresholds: GOOSE through step_goose,
+    SV through step_sv."""
     rng = random.Random(1234)
     for trial in range(1000):
         n = rng.randrange(0, 501)
         span = rng.choice([1_000, 30_000, 1_000_000])
         ts = sorted(rng.randrange(0, span) for _ in range(n))
-        for window, cap in ((10_000, 10), (2_083, 12)):
-            assert list(dos_window_flags(ts, window, cap)) == \
+        for protocol, window, cap in (("GOOSE", 10_000, 10), ("SV", 2_083, 12)):
+            assert _stepper_window_flags(protocol, ts, window, cap) == \
                 _brute_force_flags(ts, window, cap), f"trial {trial}"
 
 
@@ -241,3 +270,23 @@ def test_criterion_9_cli_determinism(tmp_path):
     report = json.loads(first["report.json"])
     assert report[0]["metrics"]["tpr"] == 1.0
     assert report[0]["metrics"]["fpr"] == 0.0
+
+
+def test_pcap_path_matches_jsonl_path(tmp_path):
+    """gen -> detect and gen -> pcap -> decode -> detect flag the same records,
+    so out-of-range smpCnt injections survive pcap export unchanged."""
+    gen_out, pcap, decoded = (str(tmp_path / n) for n in
+                              ("gen.jsonl", "gen.pcap", "decoded.jsonl"))
+    assert cli_main(["gen", "--protocol", "sv", "--duration", "50ms", "--seed", "3",
+                     "--inject", "di:4", "--out", gen_out, "--pcap", pcap]) == 0
+    assert cli_main(["pcap", "decode", "--in", pcap, "--out", decoded]) == 0
+
+    def predictions(path, tag):
+        pred = tmp_path / f"{tag}.json"
+        assert cli_main(["detect", "--engine", "rules", "--level", "full",
+                         "--in", path, "--predictions", str(pred)]) == 0
+        return json.loads(pred.read_text())["predictions"]
+
+    direct = predictions(gen_out, "direct")
+    assert sum(direct) == 4
+    assert predictions(decoded, "via-pcap") == direct

@@ -95,10 +95,13 @@ class TestSvRoundTrip:
         assert back == apdu
 
     def test_smp_cnt_boundary(self):
-        apdu = SvApdu(appid=0x40, svID="MU01", smpCnt=4799)
-        assert decode_sv(encode_sv(apdu, DST, SRC, 0)).smpCnt == 4799
+        # the wire field is 16 bits: out-of-range counts (S_DI_1 attacks)
+        # must survive encode -> decode exactly
+        for smp in (4799, 4800, 65535):
+            apdu = SvApdu(appid=0x40, svID="MU01", smpCnt=smp)
+            assert decode_sv(encode_sv(apdu, DST, SRC, 0)).smpCnt == smp
         with pytest.raises(InvariantViolationError):
-            encode_sv(SvApdu(appid=0x40, svID="MU01", smpCnt=4800), DST, SRC, 0)
+            encode_sv(SvApdu(appid=0x40, svID="MU01", smpCnt=65536), DST, SRC, 0)
 
     def test_fuzzed_values(self):
         rng = random.Random(202)
@@ -151,7 +154,9 @@ class TestValidation:
     def test_sv_range_checks(self):
         with pytest.raises(InvariantViolationError):
             SvApdu(appid=1, svID="", smpCnt=0).validate()
-        # decode-side tolerance: any 16-bit smpCnt passes the plain validate
-        SvApdu(appid=1, svID="x", smpCnt=65535).validate()
-        with pytest.raises(InvariantViolationError):
-            SvApdu(appid=1, svID="x", smpCnt=65535).validate(for_encode=True)
+        # encode and decode share one check: any 16-bit smpCnt passes both
+        apdu = SvApdu(appid=1, svID="x", smpCnt=65535)
+        assert decode_sv(encode_sv(apdu, DST, SRC, 0)) == apdu
+        for bad in (-1, 1 << 16):
+            with pytest.raises(InvariantViolationError):
+                SvApdu(appid=1, svID="x", smpCnt=bad).validate()

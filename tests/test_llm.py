@@ -96,6 +96,18 @@ class TestParseResponse:
         assert r.anomalous_indices == frozenset({1})
         assert len(r.warnings) == 2
 
+    def test_nested_objects(self):
+        r = parse_response('{"anomalies": [1, 3], "reasons": {"1": "gap"}}', 10)
+        assert r.anomalous_indices == frozenset({1, 3})
+        assert r.warnings == []
+        r = parse_response('Verdict: {"result": {"anomalies": [2]}}', 10)
+        assert r.anomalous_indices == frozenset({2})
+
+    def test_deeply_nested_reply_scores_all_normal(self):
+        r = parse_response('{"a": ' * 3000 + '1' + '}' * 3000, 10)
+        assert r.anomalous_indices == frozenset()
+        assert r.warnings and "unparseable" in r.warnings[0]
+
     def test_unparseable_scores_all_normal(self):
         r = parse_response("I cannot help with that.", 10)
         assert r.anomalous_indices == frozenset()

@@ -237,20 +237,68 @@ class TestBatch:
             step_sv(state, other, FULL)
 
 
+def brute_force_window_flags(timestamps, window_us, max_packets):
+    """Quadratic reference: count arrivals in the closed trailing window."""
+    flags = []
+    for i, t in enumerate(timestamps):
+        live = sum(1 for u in timestamps[: i + 1] if t - window_us <= u <= t)
+        flags.append(live > max_packets)
+    return flags
+
+
+def stepper_window_flags(protocol, timestamps, window_us, max_packets):
+    """One flag per arrival: did the stepper's own sliding window raise the
+    protocol's window DoS rule (G_DOS_1 or S_DOS_2) on it?"""
+    if protocol == "GOOSE":
+        cfg = TimingConfig(goose_dos_window_us=window_us,
+                           goose_dos_max_packets=max_packets)
+        records = [g(t, 1, i) for i, t in enumerate(timestamps)]
+        run, rule = run_goose, RuleId.G_DOS_1
+    else:
+        cfg = TimingConfig(sv_dos_window_us=window_us, sv_dos_max_packets=max_packets)
+        records = [s(t, i % 4800) for i, t in enumerate(timestamps)]
+        run, rule = run_sv, RuleId.S_DOS_2
+    flags = [False] * len(records)
+    for v in run(records, RuleSet.for_level(Level.FULL, cfg)):
+        if v.rule == rule:
+            flags[v.record_index] = True
+    return flags
+
+
+@pytest.mark.parametrize("protocol", ["GOOSE", "SV"])
+class TestDosWindow:
+    def test_matches_brute_force_randomized(self, protocol):
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randrange(0, 200)
+            ts = sorted(rng.randrange(0, 5000) for _ in range(n))
+            window = rng.choice([1, 10, 100, 2083, 10000])
+            cap = rng.randrange(1, 15)
+            assert stepper_window_flags(protocol, ts, window, cap) == \
+                brute_force_window_flags(ts, window, cap)
+
+    def test_window_is_closed(self, protocol):
+        # 11 packets spanning exactly the window length must all count
+        ts = list(range(0, 11))
+        assert stepper_window_flags(protocol, ts, 10, 10) == [False] * 10 + [True]
+
+    def test_duplicate_timestamps(self, protocol):
+        ts = [5] * 13
+        assert stepper_window_flags(protocol, ts, 1, 12) == [False] * 12 + [True]
+
+    def test_empty(self, protocol):
+        assert stepper_window_flags(protocol, [], 10, 10) == []
+        assert detect_batch(LabeledDataset(protocol, [], []), FULL) == []
+
+
 class TestDosOracleConsistency:
     def test_step_window_matches_brute_force(self):
-        from tests.test_kernels import brute_force_dos_flags
         rng = random.Random(23)
         for _ in range(50):
             n = rng.randrange(1, 120)
             ts = sorted(rng.randrange(0, 40_000) for _ in range(n))
-            recs = [g(t, 1, i) for i, t in enumerate(ts)]
-            expected = brute_force_dos_flags(ts, 10_000, 10)
-            got = [False] * n
-            for v in run_goose(recs):
-                if v.rule == RuleId.G_DOS_1:
-                    got[v.record_index] = True
-            assert got == expected
+            assert stepper_window_flags("GOOSE", ts, 10_000, 10) == \
+                brute_force_window_flags(ts, 10_000, 10)
 
 
 class TestRulesetFiles:
