@@ -5,7 +5,7 @@ byte-deterministic, and any malformed input raises a structured error from
 :mod:`gridsentry.errors` instead of crashing.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import (
@@ -30,6 +30,7 @@ _TAG_ST_NUM = 0x85
 _TAG_SQ_NUM = 0x86
 _TAG_ALL_DATA = 0xAB
 _TAG_BOOLEAN = 0x83
+_GOOSE_MANDATORY = ("gocbRef", "datSet", "goID", "stNum", "sqNum", "allData")
 
 _TAG_SAV_PDU = 0x60
 _TAG_NO_ASDU = 0x80
@@ -39,7 +40,7 @@ _TAG_SV_ID = 0x80
 _TAG_SMP_CNT = 0x82
 
 
-@dataclass
+@dataclass(slots=True)
 class RawFrame:
     """One captured Ethernet II frame, timestamped in microseconds."""
 
@@ -50,7 +51,7 @@ class RawFrame:
     payload: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class GooseApdu:
     appid: int
     gocbRef: str
@@ -74,7 +75,7 @@ class GooseApdu:
             raise InvariantViolationError(f"GooseApdu.ttl_ms={self.ttl_ms} out of 32-bit range")
 
 
-@dataclass
+@dataclass(slots=True)
 class SvApdu:
     appid: int
     svID: str
@@ -93,8 +94,12 @@ class SvApdu:
 # TLV primitives
 # ---------------------------------------------------------------------------
 
-def _read_tlv(buf: bytes, offset: int, end: int) -> Tuple[int, bytes, int]:
-    """Read one tag-length-value; returns (tag, value, next offset)."""
+def _tlv(buf: bytes, offset: int, end: int) -> Tuple[int, int, int]:
+    """Read the tag-length header at ``offset``, bounded by ``end``.
+
+    Returns ``(tag, start, stop)``: the value is ``buf[start:stop]`` and the
+    next TLV begins at ``stop``. The value is not copied.
+    """
     if offset >= end:
         raise DecodeError("truncated TLV: no tag byte", offset)
     tag = buf[offset]
@@ -115,9 +120,10 @@ def _read_tlv(buf: bytes, offset: int, end: int) -> Tuple[int, bytes, int]:
             raise DecodeError("truncated TLV length field", offset)
         length = int.from_bytes(buf[offset : offset + n], "big")
         offset += n
-    if offset + length > end:
+    stop = offset + length
+    if stop > end:
         raise DecodeError(f"TLV value of {length} octets overruns buffer", offset)
-    return tag, buf[offset : offset + length], offset + length
+    return tag, offset, stop
 
 
 def _encode_tlv(tag: int, value: bytes) -> bytes:
@@ -133,12 +139,12 @@ def _encode_uint(value: int) -> bytes:
     return value.to_bytes(max(1, (value.bit_length() + 7) // 8), "big")
 
 
-def _decode_uint(value: bytes, offset: int, max_octets: int) -> int:
-    if not 1 <= len(value) <= max_octets:
+def _decode_uint(buf: bytes, start: int, stop: int, max_octets: int) -> int:
+    if not 1 <= stop - start <= max_octets:
         raise DecodeError(
-            f"unsigned integer of {len(value)} octets (expected 1..{max_octets})", offset
+            f"unsigned integer of {stop - start} octets (expected 1..{max_octets})", start
         )
-    return int.from_bytes(value, "big")
+    return int.from_bytes(buf[start:stop], "big")
 
 
 def _apdu_header(appid: int, pdu: bytes) -> bytes:
@@ -146,7 +152,8 @@ def _apdu_header(appid: int, pdu: bytes) -> bytes:
     return appid.to_bytes(2, "big") + length.to_bytes(2, "big") + b"\x00\x00\x00\x00" + pdu
 
 
-def _split_apdu(frame: RawFrame) -> Tuple[int, bytes]:
+def _split_apdu(frame: RawFrame) -> Tuple[int, bytes, int]:
+    """Return (appid, payload, end): the PDU is ``payload[8:end]``."""
     payload = frame.payload
     if len(payload) < 8:
         raise DecodeError("payload shorter than the 8-octet APDU header", len(payload))
@@ -156,7 +163,7 @@ def _split_apdu(frame: RawFrame) -> Tuple[int, bytes]:
         raise DecodeError(f"APDU length field {length} below header size", 2)
     if length > len(payload):
         raise DecodeError(f"APDU length field {length} overruns payload", 2)
-    return appid, payload[8:length]
+    return appid, payload, length
 
 
 def _check_ethertype(frame: RawFrame, expected: int):
@@ -173,69 +180,64 @@ def _check_ethertype(frame: RawFrame, expected: int):
 # ---------------------------------------------------------------------------
 
 def decode_goose(frame: RawFrame) -> GooseApdu:
-    """Parse a GOOSE frame payload (APDU header + goosePdu TLV)."""
+    """Parse a GOOSE frame payload (APDU header + goosePdu TLV).
+
+    Offsets in a ``DecodeError`` count from the start of the payload.
+    """
     _check_ethertype(frame, ETHERTYPE_GOOSE)
-    appid, pdu = _split_apdu(frame)
-    tag, body, _ = _read_tlv(pdu, 0, len(pdu))
+    appid, buf, end = _split_apdu(frame)
+    tag, off, end = _tlv(buf, 8, end)
     if tag != _TAG_GOOSE_PDU:
         raise DecodeError(f"expected goosePdu tag 0x61, got 0x{tag:02X}", 8)
 
-    fields = {}
-    booleans = None
-    off = 0
-    end = len(body)
+    gocb_ref = dat_set = go_id = st_num = sq_num = ttl_ms = booleans = None
     while off < end:
-        tag, value, nxt = _read_tlv(body, off, end)
+        tag, start, off = _tlv(buf, off, end)
         if tag == _TAG_GOCB_REF:
-            fields["gocbRef"] = value.decode("ascii", errors="replace")
+            gocb_ref = buf[start:off].decode("ascii", errors="replace")
         elif tag == _TAG_TTL:
-            fields["ttl_ms"] = _decode_uint(value, off, 4)
+            ttl_ms = _decode_uint(buf, start, off, 4)
         elif tag == _TAG_DAT_SET:
-            fields["datSet"] = value.decode("ascii", errors="replace")
+            dat_set = buf[start:off].decode("ascii", errors="replace")
         elif tag == _TAG_GO_ID:
-            fields["goID"] = value.decode("ascii", errors="replace")
+            go_id = buf[start:off].decode("ascii", errors="replace")
         elif tag == _TAG_ST_NUM:
-            fields["stNum"] = _decode_uint(value, off, 4)
+            st_num = _decode_uint(buf, start, off, 4)
         elif tag == _TAG_SQ_NUM:
-            fields["sqNum"] = _decode_uint(value, off, 4)
+            sq_num = _decode_uint(buf, start, off, 4)
         elif tag == _TAG_ALL_DATA:
-            booleans = _decode_all_data(value, off)
+            booleans = _decode_all_data(buf, start, off)
         # unknown tags inside the wrapper are skipped (length-delimited)
-        off = nxt
 
-    for name in ("gocbRef", "datSet", "goID", "stNum", "sqNum"):
-        if name not in fields:
-            raise MissingFieldError(name)
-    if booleans is None:
-        raise MissingFieldError("allData")
-    apdu = GooseApdu(
+    found = (gocb_ref, dat_set, go_id, st_num, sq_num, booleans)
+    if None in found:
+        raise MissingFieldError(_GOOSE_MANDATORY[found.index(None)])
+    if not (gocb_ref and dat_set and go_id):
+        raise MissingFieldError("gocbRef" if not gocb_ref else ("datSet" if not dat_set else "goID"))
+    return GooseApdu(
         appid=appid,
-        gocbRef=fields["gocbRef"],
-        datSet=fields["datSet"],
-        goID=fields["goID"],
-        stNum=fields["stNum"],
-        sqNum=fields["sqNum"],
+        gocbRef=gocb_ref,
+        datSet=dat_set,
+        goID=go_id,
+        stNum=st_num,
+        sqNum=sq_num,
         data1=booleans[0],
         data2=booleans[1],
-        ttl_ms=fields.get("ttl_ms"),
+        ttl_ms=ttl_ms,
     )
-    if not apdu.gocbRef or not apdu.datSet or not apdu.goID:
-        raise MissingFieldError("gocbRef" if not apdu.gocbRef else ("datSet" if not apdu.datSet else "goID"))
-    return apdu
 
 
-def _decode_all_data(value: bytes, base_offset: int):
+def _decode_all_data(buf: bytes, off: int, end: int):
     entries = []
-    off = 0
-    while off < len(value):
-        tag, v, off = _read_tlv(value, off, len(value))
+    while off < end:
+        tag, start, off = _tlv(buf, off, end)
         if tag != _TAG_BOOLEAN:
             raise UnsupportedShapeError(
                 f"allData entry tag 0x{tag:02X} is not a boolean"
             )
-        if len(v) != 1:
-            raise DecodeError(f"boolean of {len(v)} octets", base_offset + off)
-        entries.append(v[0] != 0)
+        if off - start != 1:
+            raise DecodeError(f"boolean of {off - start} octets", start)
+        entries.append(buf[start] != 0)
     if len(entries) != 2:
         raise UnsupportedShapeError(
             f"allData carries {len(entries)} entries, exactly 2 booleans supported"
@@ -273,22 +275,24 @@ def encode_goose(apdu: GooseApdu, dst_mac: bytes, src_mac: bytes, timestamp: int
 # ---------------------------------------------------------------------------
 
 def decode_sv(frame: RawFrame) -> SvApdu:
-    """Parse a single-ASDU SV frame payload (APDU header + savPdu TLV)."""
+    """Parse a single-ASDU SV frame payload (APDU header + savPdu TLV).
+
+    Offsets in a ``DecodeError`` count from the start of the payload.
+    """
     _check_ethertype(frame, ETHERTYPE_SV)
-    appid, pdu = _split_apdu(frame)
-    tag, body, _ = _read_tlv(pdu, 0, len(pdu))
+    appid, buf, end = _split_apdu(frame)
+    tag, off, end = _tlv(buf, 8, end)
     if tag != _TAG_SAV_PDU:
         raise DecodeError(f"expected savPdu tag 0x60, got 0x{tag:02X}", 8)
 
     no_asdu = None
     seq = None
-    off = 0
-    while off < len(body):
-        tag, value, off = _read_tlv(body, off, len(body))
+    while off < end:
+        tag, start, off = _tlv(buf, off, end)
         if tag == _TAG_NO_ASDU:
-            no_asdu = _decode_uint(value, off, 2)
+            no_asdu = _decode_uint(buf, start, off, 2)
         elif tag == _TAG_SEQ_ASDU:
-            seq = value
+            seq = start, off
     if no_asdu is None:
         raise MissingFieldError("noASDU")
     if no_asdu != 1:
@@ -296,24 +300,24 @@ def decode_sv(frame: RawFrame) -> SvApdu:
     if seq is None:
         raise MissingFieldError("seqOfASDU")
 
-    tag, asdu, rest = _read_tlv(seq, 0, len(seq))
+    seq_start, seq_stop = seq
+    tag, off, end = _tlv(buf, seq_start, seq_stop)
     if tag != _TAG_ASDU:
-        raise DecodeError(f"expected ASDU tag 0x30, got 0x{tag:02X}", 0)
-    if rest != len(seq):
+        raise DecodeError(f"expected ASDU tag 0x30, got 0x{tag:02X}", seq_start)
+    if end != seq_stop:
         raise UnsupportedShapeError("seqOfASDU carries more than one ASDU")
 
     sv_id = None
     smp_cnt = None
-    off = 0
-    while off < len(asdu):
-        tag, value, off = _read_tlv(asdu, off, len(asdu))
+    while off < end:
+        tag, start, off = _tlv(buf, off, end)
         if tag == _TAG_SV_ID:
-            sv_id = value.decode("ascii", errors="replace")
+            sv_id = buf[start:off].decode("ascii", errors="replace")
         elif tag == _TAG_SMP_CNT:
-            if len(value) != 2:
-                raise DecodeError(f"smpCnt of {len(value)} octets (expected 2)", off)
-            smp_cnt = int.from_bytes(value, "big")
-    if sv_id is None or sv_id == "":
+            if off - start != 2:
+                raise DecodeError(f"smpCnt of {off - start} octets (expected 2)", start)
+            smp_cnt = int.from_bytes(buf[start:off], "big")
+    if not sv_id:
         raise MissingFieldError("svID")
     if smp_cnt is None:
         raise MissingFieldError("smpCnt")

@@ -2,7 +2,7 @@
 
 import csv
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Tuple
 
@@ -35,7 +35,7 @@ class Label(str, Enum):
 
 
 def mac_to_str(mac: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in mac)
+    return mac.hex(":")
 
 
 def mac_to_bytes(mac: str) -> bytes:
@@ -54,7 +54,7 @@ def wallclock(time_us: int) -> str:
     return f"{h:02d}:{m:02d}:{s:02d}.{micros:06d}"
 
 
-@dataclass
+@dataclass(slots=True)
 class GooseRecord:
     time_us: int
     dm: str
@@ -76,7 +76,7 @@ class GooseRecord:
             raise InvariantViolationError("GooseRecord.time_us negative")
 
 
-@dataclass
+@dataclass(slots=True)
 class SvRecord:
     time_us: int
     dm: str
@@ -192,9 +192,14 @@ def extract_records(frames) -> Tuple[List[GooseRecord], List[SvRecord], SkipRepo
 def dataset_to_frames(dataset: LabeledDataset) -> List[RawFrame]:
     """Re-encode dataset records as RawFrames (for pcap export)."""
     out = []
+    macs = {}
     for rec in dataset.records:
-        dst = mac_to_bytes(rec.dm)
-        src = mac_to_bytes(rec.sm)
+        dst = macs.get(rec.dm)
+        if dst is None:
+            dst = macs[rec.dm] = mac_to_bytes(rec.dm)
+        src = macs.get(rec.sm)
+        if src is None:
+            src = macs[rec.sm] = mac_to_bytes(rec.sm)
         if dataset.protocol == "GOOSE":
             apdu = _frames.GooseApdu(
                 appid=rec.appid, gocbRef=rec.gocbRef, datSet=rec.datSet, goID=rec.goID,
@@ -217,11 +222,12 @@ _SV_FIELDS = [f for f in SvRecord.__dataclass_fields__]
 
 def save_jsonl(dataset: LabeledDataset, path) -> None:
     dataset.validate()
+    fields = _GOOSE_FIELDS if dataset.protocol == "GOOSE" else _SV_FIELDS
     with open(path, "w", encoding="utf-8") as fh:
         header = {"schema": SCHEMA_ID, "protocol": dataset.protocol, "meta": dataset.meta}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for rec, label in zip(dataset.records, dataset.labels):
-            row = asdict(rec)
+            row = {name: getattr(rec, name) for name in fields}
             row["label"] = label.value
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 

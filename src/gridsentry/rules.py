@@ -9,7 +9,7 @@ becomes history whether or not it fired a verdict.
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import (
     InputOrderError,
@@ -122,8 +122,7 @@ class RuleSet:
         return cls(level=level, thresholds=thresholds or TimingConfig())
 
 
-@dataclass(frozen=True)
-class StreamKey:
+class StreamKey(NamedTuple):
     protocol: str
     sm: str
     dm: str
@@ -307,25 +306,26 @@ def detect_batch(dataset: LabeledDataset, rules: RuleSet) -> List[Verdict]:
         return []
     step = step_goose if dataset.protocol == "GOOSE" else step_sv
 
-    by_stream: Dict[StreamKey, List[int]] = {}
-    for i, rec in enumerate(dataset.records):
-        by_stream.setdefault(StreamKey.of(rec), []).append(i)
-
+    states: Dict[StreamKey, StreamState] = {}
+    last_index: Dict[StreamKey, int] = {}
     all_verdicts: List[Verdict] = []
-    for indices in by_stream.values():
-        state = StreamState()
-        last_index = None
-        for i in indices:
-            _, verdicts = step(state, dataset.records[i], rules, index=i)
-            all_verdicts.extend(verdicts)
-            last_index = i
-        capture_end = dataset.meta.get("capture_end_us")
-        if (capture_end is not None and dataset.protocol == "GOOSE"
-                and RuleId.G_SYS_1 in rules.enabled and last_index is not None):
+    for i, rec in enumerate(dataset.records):
+        key = StreamKey.of(rec)
+        state = states.get(key)
+        if state is None:
+            state = states[key] = StreamState()
+        _, verdicts = step(state, rec, rules, index=i)
+        all_verdicts.extend(verdicts)
+        last_index[key] = i
+
+    capture_end = dataset.meta.get("capture_end_us")
+    if (capture_end is not None and dataset.protocol == "GOOSE"
+            and RuleId.G_SYS_1 in rules.enabled):
+        for key, state in states.items():
             gap = capture_end - state.last_time_us
             if gap > rules.thresholds.goose_heartbeat_max_gap_us:
                 all_verdicts.append(Verdict(
-                    last_index, Label.SYSTEM_PROBLEM, RuleId.G_SYS_1,
+                    last_index[key], Label.SYSTEM_PROBLEM, RuleId.G_SYS_1,
                     f"stream silent for {gap} us before capture end"))
     all_verdicts.sort(key=Verdict.sort_key)
     return all_verdicts

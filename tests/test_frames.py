@@ -115,6 +115,59 @@ class TestSvRoundTrip:
             decode_sv(frame)
 
 
+def _payload(pdu: bytes, appid: int = 1) -> bytes:
+    """APDU header (appid, length, reserved) in front of a raw PDU."""
+    return appid.to_bytes(2, "big") + (8 + len(pdu)).to_bytes(2, "big") + bytes(4) + pdu
+
+
+class TestLongFormLengths:
+    # length octets of a gocbRef of n characters: short form up to 127,
+    # then 0x81 (one length octet) and 0x82 (two)
+    GOCB_LENGTHS = {127: b"\x7f", 128: b"\x81\x80", 255: b"\x81\xff",
+                    256: b"\x82\x01\x00", 300: b"\x82\x01\x2c"}
+
+    @pytest.mark.parametrize("n", sorted(GOCB_LENGTHS))
+    def test_goose_field_and_wrapper_round_trip(self, n):
+        apdu = GooseApdu(appid=3, gocbRef="G" * n, datSet="IED1/LLN0$ds1", goID="gcb1",
+                         stNum=7, sqNum=2, data1=True, data2=False, ttl_ms=2000)
+        payload = encode_goose(apdu, DST, SRC, 0).payload
+        assert payload[8] == 0x61
+        wrapper_form = payload[9]
+        assert wrapper_form == (0x82 if n >= 255 else 0x81)
+        field = 10 + (wrapper_form & 0x7F)
+        assert payload[field] == 0x80
+        form = self.GOCB_LENGTHS[n]
+        assert payload[field + 1 : field + 1 + len(form)] == form
+        assert decode_goose(RawFrame(0, DST, SRC, 0x88B8, payload)) == apdu
+
+    def test_sv_long_sv_id_round_trip(self):
+        apdu = SvApdu(appid=0x4000, svID="MU" * 100, smpCnt=4799)
+        frame = encode_sv(apdu, DST, SRC, 0)
+        assert b"\x80\x81\xc8" in frame.payload  # svID with a one-octet long form
+        assert decode_sv(frame) == apdu
+
+    BAD_LENGTHS = {
+        "indefinite": b"\x80\x01\x02",
+        "five_octet_length_field": b"\x85\x00\x00\x00\x00\x01\x00",
+        "cut_off_long_form": b"\x82\x01",
+    }
+
+    @pytest.mark.parametrize("form", sorted(BAD_LENGTHS))
+    @pytest.mark.parametrize("ethertype, tag, decoder", [
+        (0x88B8, 0x61, decode_goose), (0x88BA, 0x60, decode_sv)], ids=["goose", "sv"])
+    def test_bad_wrapper_length_is_decode_error(self, form, ethertype, tag, decoder):
+        payload = _payload(bytes([tag]) + self.BAD_LENGTHS[form])
+        with pytest.raises(DecodeError):
+            decoder(RawFrame(0, DST, SRC, ethertype, payload))
+
+    @pytest.mark.parametrize("form", sorted(BAD_LENGTHS))
+    def test_bad_field_length_is_decode_error(self, form):
+        inner = b"\x80" + self.BAD_LENGTHS[form]  # gocbRef
+        payload = _payload(bytes([0x61, len(inner)]) + inner)
+        with pytest.raises(DecodeError):
+            decode_goose(RawFrame(0, DST, SRC, 0x88B8, payload))
+
+
 class TestDecoderRobustness:
     def test_random_bytes_never_crash(self):
         rng = random.Random(303)
