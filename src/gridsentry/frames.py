@@ -152,9 +152,8 @@ def _apdu_header(appid: int, pdu: bytes) -> bytes:
     return appid.to_bytes(2, "big") + length.to_bytes(2, "big") + b"\x00\x00\x00\x00" + pdu
 
 
-def _split_apdu(frame: RawFrame) -> Tuple[int, bytes, int]:
-    """Return (appid, payload, end): the PDU is ``payload[8:end]``."""
-    payload = frame.payload
+def _split_apdu(payload: bytes) -> Tuple[int, int]:
+    """Return (appid, end): the PDU is ``payload[8:end]``."""
     if len(payload) < 8:
         raise DecodeError("payload shorter than the 8-octet APDU header", len(payload))
     appid = int.from_bytes(payload[0:2], "big")
@@ -163,7 +162,7 @@ def _split_apdu(frame: RawFrame) -> Tuple[int, bytes, int]:
         raise DecodeError(f"APDU length field {length} below header size", 2)
     if length > len(payload):
         raise DecodeError(f"APDU length field {length} overruns payload", 2)
-    return appid, payload, length
+    return appid, length
 
 
 def _check_ethertype(frame: RawFrame, expected: int):
@@ -185,7 +184,12 @@ def decode_goose(frame: RawFrame) -> GooseApdu:
     Offsets in a ``DecodeError`` count from the start of the payload.
     """
     _check_ethertype(frame, ETHERTYPE_GOOSE)
-    appid, buf, end = _split_apdu(frame)
+    return GooseApdu(*_goose_fields(frame.payload))
+
+
+def _goose_fields(buf: bytes) -> tuple:
+    """GOOSE payload -> the ``GooseApdu`` fields, in declaration order."""
+    appid, end = _split_apdu(buf)
     tag, off, end = _tlv(buf, 8, end)
     if tag != _TAG_GOOSE_PDU:
         raise DecodeError(f"expected goosePdu tag 0x61, got 0x{tag:02X}", 8)
@@ -214,17 +218,8 @@ def decode_goose(frame: RawFrame) -> GooseApdu:
         raise MissingFieldError(_GOOSE_MANDATORY[found.index(None)])
     if not (gocb_ref and dat_set and go_id):
         raise MissingFieldError("gocbRef" if not gocb_ref else ("datSet" if not dat_set else "goID"))
-    return GooseApdu(
-        appid=appid,
-        gocbRef=gocb_ref,
-        datSet=dat_set,
-        goID=go_id,
-        stNum=st_num,
-        sqNum=sq_num,
-        data1=booleans[0],
-        data2=booleans[1],
-        ttl_ms=ttl_ms,
-    )
+    return (appid, gocb_ref, dat_set, go_id, st_num, sq_num,
+            booleans[0], booleans[1], ttl_ms)
 
 
 def _decode_all_data(buf: bytes, off: int, end: int):
@@ -280,7 +275,12 @@ def decode_sv(frame: RawFrame) -> SvApdu:
     Offsets in a ``DecodeError`` count from the start of the payload.
     """
     _check_ethertype(frame, ETHERTYPE_SV)
-    appid, buf, end = _split_apdu(frame)
+    return SvApdu(*_sv_fields(frame.payload))
+
+
+def _sv_fields(buf: bytes) -> Tuple[int, str, int]:
+    """SV payload -> ``(appid, svID, smpCnt)``."""
+    appid, end = _split_apdu(buf)
     tag, off, end = _tlv(buf, 8, end)
     if tag != _TAG_SAV_PDU:
         raise DecodeError(f"expected savPdu tag 0x60, got 0x{tag:02X}", 8)
@@ -321,7 +321,7 @@ def decode_sv(frame: RawFrame) -> SvApdu:
         raise MissingFieldError("svID")
     if smp_cnt is None:
         raise MissingFieldError("smpCnt")
-    return SvApdu(appid=appid, svID=sv_id, smpCnt=smp_cnt)
+    return appid, sv_id, smp_cnt
 
 
 def encode_sv(apdu: SvApdu, dst_mac: bytes, src_mac: bytes, timestamp: int) -> RawFrame:

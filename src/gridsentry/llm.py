@@ -2,8 +2,9 @@
 
 The rule set is rendered as numbered English sentences, record windows are
 rendered as fixed-width tables, and the reply is parsed back into per-record
-predictions. Clients are pluggable: a real HTTPS endpoint, a directory of
-canned reply files, or a mock that runs the rule engine internally.
+predictions. Clients are pluggable: a real HTTP(S) endpoint reached through
+``urllib``, a directory of canned reply files, or a mock that runs the rule
+engine internally.
 """
 
 import json
@@ -196,8 +197,33 @@ class ChatClient:
         raise NotImplementedError
 
 
+def _reply_text(data) -> str:
+    """The text of a chat-completion reply, or the whole reply as JSON.
+
+    A string ``choices[0].message.content`` is returned as is, and a list of
+    content parts as its concatenated ``text`` parts. Null content, a
+    missing key or any other shape gives ``json.dumps(data)``, which
+    ``parse_response`` scores all-normal with a warning.
+    """
+    try:
+        content = data["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError):
+        content = None
+    if isinstance(content, str):
+        return content
+    if isinstance(content, list):
+        return "".join(part["text"] for part in content
+                       if isinstance(part, dict) and isinstance(part.get("text"), str))
+    return json.dumps(data)
+
+
 class HttpChatClient(ChatClient):
-    """One JSON POST per window: {model, messages}, bearer token from env."""
+    """One JSON POST per window: {model, messages}, bearer token from env.
+
+    Standard library only (``urllib.request``). An HTTP status of 400 or
+    more, a transport failure or a body that is not JSON raises, and
+    ``detect_llm`` retries the window.
+    """
 
     def __init__(self, cfg: ChatClientConfig):
         cfg.validate()
@@ -206,7 +232,7 @@ class HttpChatClient(ChatClient):
         self.cfg = cfg
 
     def complete(self, bundle: PromptBundle, window_id: int) -> str:
-        import requests
+        import urllib.request  # about 30 ms, so only a run that posts pays it
 
         token = os.environ.get(self.cfg.auth_token_env_var_name, "")
         body = {
@@ -219,14 +245,12 @@ class HttpChatClient(ChatClient):
         headers = {"Content-Type": "application/json"}
         if token:
             headers["Authorization"] = f"Bearer {token}"
-        resp = requests.post(self.cfg.endpoint_url, json=body, headers=headers,
-                             timeout=self.cfg.timeout_ms / 1000)
-        resp.raise_for_status()
-        data = resp.json()
-        try:
-            return data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError):
-            return json.dumps(data)
+        request = urllib.request.Request(self.cfg.endpoint_url,
+                                         data=json.dumps(body).encode("utf-8"),
+                                         headers=headers, method="POST")
+        with urllib.request.urlopen(request, timeout=self.cfg.timeout_ms / 1000) as resp:
+            data = json.loads(resp.read())
+        return _reply_text(data)
 
 
 class MockFixtureClient(ChatClient):

@@ -14,6 +14,7 @@ LINKTYPE_ETHERNET = 1
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER_LE = struct.Struct("<IIII")
 _RECORD_HEADER_BE = struct.Struct(">IIII")
+_ETHERNET_HEADER = struct.Struct("!6s6sH")  # destination, source, ethertype
 
 
 def read_pcap(file_path) -> List[RawFrame]:
@@ -54,15 +55,9 @@ def read_pcap(file_path) -> List[RawFrame]:
             if incl_len < 14:
                 raise TruncatedCaptureError("frame shorter than an Ethernet header", len(frames))
             micros = ts_frac // 1000 if nanoseconds else ts_frac
-            frames.append(
-                RawFrame(
-                    timestamp=ts_sec * 1_000_000 + micros,
-                    dst_mac=data[0:6],
-                    src_mac=data[6:12],
-                    ethertype=int.from_bytes(data[12:14], "big"),
-                    payload=data[14:],
-                )
-            )
+            dst_mac, src_mac, ethertype = _ETHERNET_HEADER.unpack_from(data)
+            frames.append(RawFrame(ts_sec * 1_000_000 + micros, dst_mac, src_mac,
+                                   ethertype, data[14:]))
 
 
 def write_pcap(frames: Iterable[RawFrame], file_path) -> None:

@@ -11,8 +11,8 @@ from .frames import (
     ETHERTYPE_GOOSE,
     ETHERTYPE_SV,
     RawFrame,
-    decode_goose,
-    decode_sv,
+    _goose_fields,
+    _sv_fields,
 )
 from . import frames as _frames
 from .errors import ToolkitError
@@ -137,55 +137,41 @@ def extract_records(frames) -> Tuple[List[GooseRecord], List[SvRecord], SkipRepo
     """Turn decodable GOOSE/SV frames into records, preserving capture order.
 
     Frames with other ethertypes and frames that fail to decode are counted
-    in the skip report, never fatal.
+    in the skip report, never fatal. Each distinct MAC is rendered once, and
+    records of one address share its string.
     """
     goose: List[GooseRecord] = []
     sv: List[SvRecord] = []
     report = SkipReport()
+    macs = {}
     for i, frame in enumerate(frames):
-        if frame.ethertype == ETHERTYPE_GOOSE:
-            try:
-                apdu = decode_goose(frame)
-            except ToolkitError as exc:
-                report.skipped_decode_errors += 1
-                report.errors.append(f"frame {i}: {exc}")
-                continue
-            goose.append(
-                GooseRecord(
-                    time_us=frame.timestamp,
-                    dm=mac_to_str(frame.dst_mac),
-                    sm=mac_to_str(frame.src_mac),
-                    ethertype=frame.ethertype,
-                    appid=apdu.appid,
-                    datSet=apdu.datSet,
-                    goID=apdu.goID,
-                    gocbRef=apdu.gocbRef,
-                    stNum=apdu.stNum,
-                    sqNum=apdu.sqNum,
-                    data1=apdu.data1,
-                    data2=apdu.data2,
-                )
-            )
-        elif frame.ethertype == ETHERTYPE_SV:
-            try:
-                apdu = decode_sv(frame)
-            except ToolkitError as exc:
-                report.skipped_decode_errors += 1
-                report.errors.append(f"frame {i}: {exc}")
-                continue
-            sv.append(
-                SvRecord(
-                    time_us=frame.timestamp,
-                    dm=mac_to_str(frame.dst_mac),
-                    sm=mac_to_str(frame.src_mac),
-                    ethertype=frame.ethertype,
-                    appid=apdu.appid,
-                    svID=apdu.svID,
-                    smpCnt=apdu.smpCnt,
-                )
-            )
+        ethertype = frame.ethertype
+        if ethertype == ETHERTYPE_SV:
+            fields = _sv_fields
+        elif ethertype == ETHERTYPE_GOOSE:
+            fields = _goose_fields
         else:
             report.skipped_ethertype += 1
+            continue
+        try:
+            values = fields(frame.payload)
+        except ToolkitError as exc:
+            report.skipped_decode_errors += 1
+            report.errors.append(f"frame {i}: {exc}")
+            continue
+        dm = macs.get(frame.dst_mac)
+        if dm is None:
+            dm = macs[frame.dst_mac] = mac_to_str(frame.dst_mac)
+        sm = macs.get(frame.src_mac)
+        if sm is None:
+            sm = macs[frame.src_mac] = mac_to_str(frame.src_mac)
+        if fields is _sv_fields:
+            appid, sv_id, smp_cnt = values
+            sv.append(SvRecord(frame.timestamp, dm, sm, ethertype, appid, sv_id, smp_cnt))
+        else:
+            appid, gocb_ref, dat_set, go_id, st_num, sq_num, data1, data2, _ttl = values
+            goose.append(GooseRecord(frame.timestamp, dm, sm, ethertype, appid, dat_set,
+                                     go_id, gocb_ref, st_num, sq_num, data1, data2))
     return goose, sv, report
 
 

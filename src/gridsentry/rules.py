@@ -9,7 +9,8 @@ becomes history whether or not it fired a verdict.
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import (
     InputOrderError,
@@ -20,6 +21,7 @@ from .errors import (
 from .records import GooseRecord, Label, LabeledDataset, SvRecord
 
 SMP_CNT_MODULUS = 4800
+_SMP_CNT_MAX = SMP_CNT_MODULUS - 1
 
 
 class RuleId(str, Enum):
@@ -71,7 +73,7 @@ class Level(str, Enum):
     FULL = "full"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimingConfig:
     goose_dos_window_us: int = 10_000
     goose_dos_max_packets: int = 10
@@ -91,29 +93,43 @@ class TimingConfig:
         return self.sv_nominal_interval_us * (1 - self.sv_interval_tolerance_pct / 100)
 
 
-def _enabled_for_level(level: Level) -> Set[RuleId]:
+def _enabled_for_level(level: Level) -> FrozenSet[RuleId]:
     if level == Level.WITHOUT:
-        return set()
+        return frozenset()
     if level == Level.PARTIAL:
-        return set(_DI_DOS_RULES)
-    return set(RuleId)
+        return _DI_DOS_RULES
+    return frozenset(RuleId)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RuleSet:
+    """The rules one level enables, with their thresholds, compiled once.
+
+    Frozen, so what ``__post_init__`` derives cannot go stale: ``_on`` holds
+    the enabled rule names as plain strings (a ``str`` set test costs a
+    fraction of reading an enum member) and ``_sv_min_gap_us`` the S_DOS_1
+    floor. The steppers read only these and the thresholds.
+    """
+
     level: Level
-    enabled: Set[RuleId] = None
+    enabled: FrozenSet[RuleId] = None
     thresholds: TimingConfig = field(default_factory=TimingConfig)
+    _on: FrozenSet[str] = field(init=False, repr=False, compare=False)
+    _sv_min_gap_us: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = _enabled_for_level(self.level)
         if self.enabled is None:
-            self.enabled = expected
+            object.__setattr__(self, "enabled", expected)
         elif set(self.enabled) != expected:
             raise InvariantViolationError(
                 f"enabled rules do not match level {self.level.value}"
             )
+        else:
+            object.__setattr__(self, "enabled", frozenset(self.enabled))
         self.thresholds.validate()
+        object.__setattr__(self, "_on", frozenset(rule.value for rule in self.enabled))
+        object.__setattr__(self, "_sv_min_gap_us", self.thresholds.sv_min_gap_us)
 
     @classmethod
     def for_level(cls, level, thresholds: Optional[TimingConfig] = None) -> "RuleSet":
@@ -180,147 +196,175 @@ def _check_stream(state: StreamState, rec, protocol: str):
 def _dos_check(state: StreamState, time_us: int, window_us: int, max_packets: int) -> bool:
     """True iff more than ``max_packets`` arrivals, this one included, fall in
     the closed window [time_us - window_us, time_us]."""
+    window = state.dos_window
     floor = time_us - window_us
-    while state.dos_window and state.dos_window[0] < floor:
-        state.dos_window.popleft()
-    state.dos_window.append(time_us)
-    return len(state.dos_window) > max_packets
+    while window and window[0] < floor:
+        window.popleft()
+    window.append(time_us)
+    return len(window) > max_packets
+
+
+def _step_goose(state: StreamState, rec: GooseRecord, rules: RuleSet,
+                index: int) -> List[Verdict]:
+    """The GOOSE rules on one record of ``state``'s stream; updates ``state``."""
+    on = rules._on
+    cfg = rules.thresholds
+    verdicts: List[Verdict] = []
+    st_num, sq_num, time_us = rec.stNum, rec.sqNum, rec.time_us
+    data = (rec.data1, rec.data2)
+    triple = (st_num, sq_num, rec.data1, rec.data2)
+
+    if state.last_time_us is not None:
+        gap = time_us - state.last_time_us
+        if gap > cfg.goose_heartbeat_max_gap_us and "G_SYS_1" in on:
+            verdicts.append(Verdict(index, Label.SYSTEM_PROBLEM, RuleId.G_SYS_1,
+                                    f"silence of {gap} us exceeds "
+                                    f"{cfg.goose_heartbeat_max_gap_us} us"))
+
+    last_st = state.last_st_num
+    if last_st is not None:
+        last_sq = state.last_sq_num
+        data_changed = data != state.last_data
+        if (st_num == last_st and not data_changed and sq_num <= last_sq
+                and "G_DI_1" in on):
+            verdicts.append(Verdict(index, Label.DATA_INJECTION, RuleId.G_DI_1,
+                                    f"sqNum {sq_num} did not increase past "
+                                    f"{last_sq} within stNum {st_num}"))
+        if (data_changed and not (st_num == last_st + 1 and sq_num == 0)
+                and "G_DI_2" in on):
+            verdicts.append(Verdict(index, Label.DATA_INJECTION, RuleId.G_DI_2,
+                                    f"data changed to {data} but counters went "
+                                    f"({last_st},{last_sq}) -> "
+                                    f"({st_num},{sq_num}) instead of "
+                                    f"({last_st + 1},0)"))
+        if st_num < last_st and "G_DI_3" in on:
+            verdicts.append(Verdict(index, Label.DATA_INJECTION, RuleId.G_DI_3,
+                                    f"stNum decreased {last_st} -> {st_num}"))
+        if ((st_num, sq_num) < (last_st, last_sq) and triple in state.seen
+                and "G_RE_1" in on):
+            verdicts.append(Verdict(index, Label.REPLAY, RuleId.G_RE_1,
+                                    f"older (stNum={st_num}, sqNum={sq_num}) "
+                                    f"resurfaced after ({last_st},"
+                                    f"{last_sq}) was observed"))
+
+    if (_dos_check(state, time_us, cfg.goose_dos_window_us, cfg.goose_dos_max_packets)
+            and "G_DOS_1" in on):
+        verdicts.append(Verdict(index, Label.DOS, RuleId.G_DOS_1,
+                                f"more than {cfg.goose_dos_max_packets} packets within "
+                                f"{cfg.goose_dos_window_us} us ending at t={time_us}"))
+
+    state.seen.add(triple)
+    state.last_st_num = st_num
+    state.last_sq_num = sq_num
+    state.last_data = data
+    state.last_time_us = time_us
+    return verdicts
+
+
+def _step_sv(state: StreamState, rec: SvRecord, rules: RuleSet,
+             index: int) -> List[Verdict]:
+    """The SV rules on one record of ``state``'s stream; updates ``state``."""
+    on = rules._on
+    cfg = rules.thresholds
+    verdicts: List[Verdict] = []
+    smp, time_us = rec.smpCnt, rec.time_us
+
+    in_range = smp <= _SMP_CNT_MAX
+    if not in_range and "S_DI_1" in on:
+        verdicts.append(Verdict(index, Label.DATA_INJECTION, RuleId.S_DI_1,
+                                f"smpCnt {smp} outside 0..{_SMP_CNT_MAX}"))
+
+    # Sequence rules are defined on in-range pairs only; an out-of-range
+    # packet already earned its verdict and cannot anchor a successor test.
+    last = state.last_smp_cnt
+    if last is not None and last <= _SMP_CNT_MAX and in_range:
+        if smp == 0 and last != _SMP_CNT_MAX and "S_DI_2" in on:
+            verdicts.append(Verdict(index, Label.DATA_INJECTION, RuleId.S_DI_2,
+                                    f"smpCnt reset to 0 from {last}, expected reset "
+                                    f"only from {_SMP_CNT_MAX}"))
+        if not is_cyclic_successor(last, smp):
+            if smp < last and "S_DI_3" in on:
+                verdicts.append(Verdict(index, Label.DATA_INJECTION, RuleId.S_DI_3,
+                                        f"smpCnt decreased {last} -> {smp} "
+                                        f"without reaching {_SMP_CNT_MAX}"))
+            if "S_SYS_1" in on:
+                verdicts.append(Verdict(index, Label.SYSTEM_PROBLEM, RuleId.S_SYS_1,
+                                        f"smpCnt stepped {last} -> {smp}, "
+                                        f"expected {(last + 1) % SMP_CNT_MODULUS}"))
+
+    if state.last_time_us is not None:
+        gap = time_us - state.last_time_us
+        if gap < rules._sv_min_gap_us and "S_DOS_1" in on:
+            verdicts.append(Verdict(index, Label.DOS, RuleId.S_DOS_1,
+                                    f"inter-arrival {gap} us below "
+                                    f"{rules._sv_min_gap_us:.2f} us "
+                                    f"(nominal {cfg.sv_nominal_interval_us:.2f} us)"))
+
+    if (_dos_check(state, time_us, cfg.sv_dos_window_us, cfg.sv_dos_max_packets)
+            and "S_DOS_2" in on):
+        verdicts.append(Verdict(index, Label.DOS, RuleId.S_DOS_2,
+                                f"more than {cfg.sv_dos_max_packets} packets within "
+                                f"{cfg.sv_dos_window_us} us ending at t={time_us}"))
+
+    state.last_smp_cnt = smp
+    state.last_time_us = time_us
+    return verdicts
 
 
 def step_goose(state: StreamState, rec: GooseRecord, rules: RuleSet,
                index: int = 0) -> Tuple[StreamState, List[Verdict]]:
     """Advance one GOOSE stream by one record; returns (state, verdicts)."""
     _check_stream(state, rec, "GOOSE")
-    enabled = rules.enabled
-    cfg = rules.thresholds
-    verdicts: List[Verdict] = []
-    data = (rec.data1, rec.data2)
-
-    if state.last_time_us is not None:
-        gap = rec.time_us - state.last_time_us
-        if RuleId.G_SYS_1 in enabled and gap > cfg.goose_heartbeat_max_gap_us:
-            verdicts.append(Verdict(index, Label.SYSTEM_PROBLEM, RuleId.G_SYS_1,
-                                    f"silence of {gap} us exceeds "
-                                    f"{cfg.goose_heartbeat_max_gap_us} us"))
-
-    if state.last_st_num is not None:
-        data_changed = data != state.last_data
-        if (RuleId.G_DI_1 in enabled and rec.stNum == state.last_st_num
-                and not data_changed and rec.sqNum <= state.last_sq_num):
-            verdicts.append(Verdict(index, Label.DATA_INJECTION, RuleId.G_DI_1,
-                                    f"sqNum {rec.sqNum} did not increase past "
-                                    f"{state.last_sq_num} within stNum {rec.stNum}"))
-        if (RuleId.G_DI_2 in enabled and data_changed
-                and not (rec.stNum == state.last_st_num + 1 and rec.sqNum == 0)):
-            verdicts.append(Verdict(index, Label.DATA_INJECTION, RuleId.G_DI_2,
-                                    f"data changed to {data} but counters went "
-                                    f"({state.last_st_num},{state.last_sq_num}) -> "
-                                    f"({rec.stNum},{rec.sqNum}) instead of "
-                                    f"({state.last_st_num + 1},0)"))
-        if RuleId.G_DI_3 in enabled and rec.stNum < state.last_st_num:
-            verdicts.append(Verdict(index, Label.DATA_INJECTION, RuleId.G_DI_3,
-                                    f"stNum decreased {state.last_st_num} -> {rec.stNum}"))
-        if (RuleId.G_RE_1 in enabled
-                and (rec.stNum, rec.sqNum, rec.data1, rec.data2) in state.seen
-                and (rec.stNum, rec.sqNum) < (state.last_st_num, state.last_sq_num)):
-            verdicts.append(Verdict(index, Label.REPLAY, RuleId.G_RE_1,
-                                    f"older (stNum={rec.stNum}, sqNum={rec.sqNum}) "
-                                    f"resurfaced after ({state.last_st_num},"
-                                    f"{state.last_sq_num}) was observed"))
-
-    dos = _dos_check(state, rec.time_us, cfg.goose_dos_window_us,
-                     cfg.goose_dos_max_packets)
-    if RuleId.G_DOS_1 in enabled and dos:
-        verdicts.append(Verdict(index, Label.DOS, RuleId.G_DOS_1,
-                                f"more than {cfg.goose_dos_max_packets} packets within "
-                                f"{cfg.goose_dos_window_us} us ending at t={rec.time_us}"))
-
-    state.seen.add((rec.stNum, rec.sqNum, rec.data1, rec.data2))
-    state.last_st_num = rec.stNum
-    state.last_sq_num = rec.sqNum
-    state.last_data = data
-    state.last_time_us = rec.time_us
-    return state, verdicts
+    return state, _step_goose(state, rec, rules, index)
 
 
 def step_sv(state: StreamState, rec: SvRecord, rules: RuleSet,
             index: int = 0) -> Tuple[StreamState, List[Verdict]]:
     """Advance one SV stream by one record; returns (state, verdicts)."""
     _check_stream(state, rec, "SV")
-    enabled = rules.enabled
-    cfg = rules.thresholds
-    verdicts: List[Verdict] = []
+    return state, _step_sv(state, rec, rules, index)
 
-    in_range = rec.smpCnt <= SMP_CNT_MODULUS - 1
-    if RuleId.S_DI_1 in enabled and not in_range:
-        verdicts.append(Verdict(index, Label.DATA_INJECTION, RuleId.S_DI_1,
-                                f"smpCnt {rec.smpCnt} outside 0..{SMP_CNT_MODULUS - 1}"))
 
-    # Sequence rules are defined on in-range pairs only; an out-of-range
-    # packet already earned its verdict and cannot anchor a successor test.
-    last = state.last_smp_cnt
-    if last is not None and last <= SMP_CNT_MODULUS - 1 and in_range:
-        wrap = is_cyclic_successor(last, rec.smpCnt)
-        if RuleId.S_DI_2 in enabled and rec.smpCnt == 0 and last != SMP_CNT_MODULUS - 1:
-            verdicts.append(Verdict(index, Label.DATA_INJECTION, RuleId.S_DI_2,
-                                    f"smpCnt reset to 0 from {last}, expected reset "
-                                    f"only from {SMP_CNT_MODULUS - 1}"))
-        if RuleId.S_DI_3 in enabled and rec.smpCnt < last and not wrap:
-            verdicts.append(Verdict(index, Label.DATA_INJECTION, RuleId.S_DI_3,
-                                    f"smpCnt decreased {last} -> {rec.smpCnt} "
-                                    f"without reaching {SMP_CNT_MODULUS - 1}"))
-        if RuleId.S_SYS_1 in enabled and not wrap:
-            verdicts.append(Verdict(index, Label.SYSTEM_PROBLEM, RuleId.S_SYS_1,
-                                    f"smpCnt stepped {last} -> {rec.smpCnt}, "
-                                    f"expected {(last + 1) % SMP_CNT_MODULUS}"))
-
-    if state.last_time_us is not None:
-        gap = rec.time_us - state.last_time_us
-        if RuleId.S_DOS_1 in enabled and gap < cfg.sv_min_gap_us:
-            verdicts.append(Verdict(index, Label.DOS, RuleId.S_DOS_1,
-                                    f"inter-arrival {gap} us below "
-                                    f"{cfg.sv_min_gap_us:.2f} us "
-                                    f"(nominal {cfg.sv_nominal_interval_us:.2f} us)"))
-
-    dos = _dos_check(state, rec.time_us, cfg.sv_dos_window_us,
-                     cfg.sv_dos_max_packets)
-    if RuleId.S_DOS_2 in enabled and dos:
-        verdicts.append(Verdict(index, Label.DOS, RuleId.S_DOS_2,
-                                f"more than {cfg.sv_dos_max_packets} packets within "
-                                f"{cfg.sv_dos_window_us} us ending at t={rec.time_us}"))
-
-    state.last_smp_cnt = rec.smpCnt
-    state.last_time_us = rec.time_us
-    return state, verdicts
+_IDENTITY = {"GOOSE": attrgetter("gocbRef"), "SV": attrgetter("svID")}
 
 
 def detect_batch(dataset: LabeledDataset, rules: RuleSet) -> List[Verdict]:
     """Run the steppers over every stream of a dataset, in time order.
 
-    Each stream gets a fresh ``StreamState`` and is stepped record by record,
-    exactly as a streaming caller of ``step_goose``/``step_sv`` would; the
-    verdicts of all streams are merged in record order.
+    Each stream gets a fresh ``StreamState`` and goes record by record
+    through the rule core of ``step_goose``/``step_sv``; the verdicts of all
+    streams are merged in record order. States are keyed by the plain tuple
+    ``(protocol, sm, dm, identity)``, equal to ``StreamKey.of(rec)``, so a
+    ``StreamKey`` is built once per stream. ``dataset.validate`` guarantees
+    time order, which leaves one protocol test per record of the public
+    steppers' checks.
     """
     dataset.validate()
     if rules.level == Level.WITHOUT:
         return []
-    step = step_goose if dataset.protocol == "GOOSE" else step_sv
+    protocol = dataset.protocol
+    goose = protocol == "GOOSE"
+    step = _step_goose if goose else _step_sv
+    identity = _IDENTITY[protocol]
 
-    states: Dict[StreamKey, StreamState] = {}
-    last_index: Dict[StreamKey, int] = {}
+    states: Dict[tuple, StreamState] = {}
+    last_index: Dict[tuple, int] = {}
     all_verdicts: List[Verdict] = []
     for i, rec in enumerate(dataset.records):
-        key = StreamKey.of(rec)
+        if isinstance(rec, GooseRecord) is not goose:
+            raise WrongStreamError(
+                f"{'SV' if goose else 'GOOSE'} record fed to the {protocol} stepper")
+        key = (protocol, rec.sm, rec.dm, identity(rec))
         state = states.get(key)
         if state is None:
-            state = states[key] = StreamState()
-        _, verdicts = step(state, rec, rules, index=i)
-        all_verdicts.extend(verdicts)
+            state = states[key] = StreamState(key=StreamKey.of(rec))
+        verdicts = step(state, rec, rules, i)
+        if verdicts:
+            all_verdicts.extend(verdicts)
         last_index[key] = i
 
     capture_end = dataset.meta.get("capture_end_us")
-    if (capture_end is not None and dataset.protocol == "GOOSE"
-            and RuleId.G_SYS_1 in rules.enabled):
+    if capture_end is not None and goose and "G_SYS_1" in rules._on:
         for key, state in states.items():
             gap = capture_end - state.last_time_us
             if gap > rules.thresholds.goose_heartbeat_max_gap_us:

@@ -1,4 +1,6 @@
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -6,6 +8,7 @@ from gridsentry.errors import ToolkitError
 from gridsentry.llm import (
     ChatClient,
     ChatClientConfig,
+    HttpChatClient,
     MockFixtureClient,
     RulesMockClient,
     build_prompts,
@@ -183,3 +186,114 @@ class TestDetectLlm:
         assert len(lines) == (len(ds) + 19) // 20
         entry = json.loads(lines[0])
         assert {"window", "attempt", "system", "user", "reply", "flagged"} <= set(entry)
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    """Answers every POST with the server's ``status`` and ``body``."""
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        self.server.seen.append((dict(self.headers), json.loads(self.rfile.read(length))))
+        self.send_response(self.server.status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(self.server.body)))
+        self.end_headers()
+        self.wfile.write(self.server.body)
+
+    def log_message(self, *args):
+        pass
+
+
+class _ChatServer(HTTPServer):
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _ChatHandler)
+        self.status, self.body, self.seen = 200, b"{}", []
+
+    def reply(self, payload, status=200):
+        self.status, self.body = status, json.dumps(payload).encode()
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    """A chat endpoint on 127.0.0.1, served by one thread."""
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.setenv(name, "*")
+    server = _ChatServer()
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    thread.join(timeout=5)
+    server.server_close()
+    assert not thread.is_alive()
+
+
+def _chat(content):
+    return {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
+
+class TestHttpChatClient:
+    def _client(self, server, **kwargs):
+        host, port = server.server_address
+        cfg = ChatClientConfig(endpoint_url=f"http://{host}:{port}/v1/chat",
+                               model_name="m", timeout_ms=5_000, **kwargs)
+        return HttpChatClient(cfg), cfg
+
+    def _bundle(self):
+        return build_prompts(sv_eval(), FULL, ChatClientConfig(window_size=20))[0]
+
+    def test_string_content_returned_as_is(self, chat_server):
+        chat_server.reply(_chat('{"anomalies": [1]}'))
+        client, _ = self._client(chat_server)
+        bundle = self._bundle()
+        assert client.complete(bundle, 0) == '{"anomalies": [1]}'
+        _, body = chat_server.seen[0]
+        assert body["model"] == "m"
+        assert [m["role"] for m in body["messages"]] == ["system", "user"]
+        assert body["messages"][1]["content"] == bundle.user_text()
+
+    def test_content_parts_are_joined(self, chat_server):
+        chat_server.reply(_chat([{"type": "text", "text": '{"anomalies": '},
+                                 {"type": "image_url", "image_url": {"url": "x"}},
+                                 {"type": "text", "text": "[3]}"}]))
+        client, _ = self._client(chat_server)
+        assert client.complete(self._bundle(), 0) == '{"anomalies": [3]}'
+
+    def test_null_content_scores_window_all_normal(self, chat_server):
+        chat_server.reply(_chat(None))
+        client, _ = self._client(chat_server)
+        assert client.complete(self._bundle(), 0) == json.dumps(_chat(None))
+        ds = sv_eval()
+        cfg = ChatClientConfig(window_size=len(ds))
+        report = detect_llm(ds, FULL, cfg, client)
+        assert report.failed_windows == []
+        assert report.predictions == [False] * len(ds)
+        assert any("unparseable" in w for w in report.warnings)
+
+    def test_server_error_fails_window_after_retries(self, chat_server):
+        chat_server.reply({"error": "overloaded"}, status=500)
+        client, _ = self._client(chat_server)
+        ds = sv_eval()
+        cfg = ChatClientConfig(window_size=len(ds), max_retries=2)
+        report = detect_llm(ds, FULL, cfg, client)
+        assert report.failed_windows == [0]
+        assert report.predictions == [False] * len(ds)
+        assert "500" in report.warnings[0]
+        assert len(chat_server.seen) == 3
+
+    def test_non_json_body_raises(self, chat_server):
+        chat_server.body = b"<html>bad gateway</html>"
+        client, _ = self._client(chat_server)
+        with pytest.raises(ValueError):
+            client.complete(self._bundle(), 0)
+
+    def test_bearer_header_only_when_token_set(self, chat_server, monkeypatch):
+        chat_server.reply(_chat('{"anomalies": []}'))
+        client, cfg = self._client(chat_server, auth_token_env_var_name="CHAT_TEST_TOKEN")
+        monkeypatch.setenv("CHAT_TEST_TOKEN", "s3cret")
+        client.complete(self._bundle(), 0)
+        monkeypatch.delenv("CHAT_TEST_TOKEN")
+        client.complete(self._bundle(), 1)
+        (with_token, _), (without, _) = chat_server.seen
+        assert with_token["Authorization"] == "Bearer s3cret"
+        assert "Authorization" not in without

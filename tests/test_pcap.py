@@ -10,6 +10,7 @@ from gridsentry.errors import (
 )
 from gridsentry.frames import GooseApdu, RawFrame, encode_goose
 from gridsentry.pcapio import read_pcap, write_pcap
+from gridsentry.records import extract_records
 
 DST = bytes.fromhex("010ccd010003")
 SRC = bytes.fromhex("000000273431")
@@ -118,6 +119,18 @@ class TestTruncation:
         path.write_bytes(header + body)
         with pytest.raises(TruncatedCaptureError):
             read_pcap(str(path))
+
+    def test_header_only_frame_has_empty_payload(self, tmp_path):
+        frame = RawFrame(1_000_005, DST, SRC, 0x88BA, b"")
+        path = tmp_path / "header-only.pcap"
+        write_pcap([frame], str(path))
+        assert path.stat().st_size == 24 + 16 + 14
+        assert read_pcap(str(path)) == [frame]
+        goose, sv, report = extract_records([frame])
+        assert (goose, sv) == ([], [])
+        assert (report.skipped_ethertype, report.skipped_decode_errors) == (0, 1)
+        assert report.errors == ["frame 0: payload shorter than the 8-octet APDU header "
+                                 "at offset 0"]
 
 
 class TestWriteOrdering:

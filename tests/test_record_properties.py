@@ -1,4 +1,4 @@
-"""Hypothesis properties for the record path: MAC text, pcap and JSONL round trips."""
+"""Hypothesis properties for the record path: MAC text, pcap, JSONL and CSV round trips."""
 
 import itertools
 
@@ -12,7 +12,9 @@ from gridsentry.records import (
     LabeledDataset,
     SvRecord,
     dataset_to_frames,
+    export_csv,
     extract_records,
+    import_csv,
     load_jsonl,
     mac_to_bytes,
     mac_to_str,
@@ -93,5 +95,21 @@ def test_records_and_labels_survive_jsonl_round_trip(tmp_path):
         assert back.records == dataset.records
         assert back.labels == dataset.labels
         assert back.meta == dataset.meta
+
+    check()
+
+
+def test_records_and_labels_survive_csv_round_trip(tmp_path):
+    names = itertools.count()
+
+    @given(datasets())
+    @PROPERTY
+    def check(dataset):
+        path = tmp_path / f"{next(names)}.csv"
+        export_csv(dataset, path)
+        back = import_csv(path, dataset.protocol)
+        assert back.protocol == dataset.protocol
+        assert back.records == dataset.records
+        assert back.labels == dataset.labels
 
     check()

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -235,6 +236,30 @@ class TestBatch:
                          appid=0x40, svID="OTHER", smpCnt=2)
         with pytest.raises(WrongStreamError):
             step_sv(state, other, FULL)
+
+    @pytest.mark.parametrize("protocol", ["GOOSE", "SV"])
+    def test_batch_rejects_other_protocol_record(self, protocol):
+        own, foreign = (g(0, 1, 0), s(100, 1)) if protocol == "GOOSE" else (s(0, 1), g(100, 1, 0))
+        ds = LabeledDataset(protocol, [own, foreign], [Label.NORMAL] * 2)
+        with pytest.raises(WrongStreamError, match=f"fed to the {protocol} stepper"):
+            detect_batch(ds, FULL)
+
+
+class TestFrozenConfig:
+    def test_ruleset_fields_cannot_be_assigned(self):
+        rules = RuleSet.for_level(Level.FULL)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rules.level = Level.WITHOUT
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rules.thresholds = TimingConfig(sv_dos_max_packets=1)
+
+    def test_timing_config_fields_cannot_be_assigned(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            FULL.thresholds.sv_interval_tolerance_pct = 10.0
+
+    def test_enabled_is_immutable(self):
+        assert isinstance(FULL.enabled, frozenset)
+        assert RuleSet(Level.PARTIAL, enabled=set(PARTIAL.enabled)) == PARTIAL
 
 
 def brute_force_window_flags(timestamps, window_us, max_packets):
