@@ -174,8 +174,10 @@ def cmd_pcap(args) -> int:
                 )
             protocol = "SV" if sv else "GOOSE"
         recs = goose if protocol == "GOOSE" else sv
-        dataset = LabeledDataset(protocol, recs, [Label.NORMAL] * len(recs),
-                                 {"source": "pcap"})
+        meta = {"source": "pcap"}
+        if frames:  # the trailing-silence check (G_SYS_1) measures to here
+            meta["capture_end_us"] = frames[-1].timestamp
+        dataset = LabeledDataset(protocol, recs, [Label.NORMAL] * len(recs), meta)
         records.save_jsonl(dataset, args.out)
         if skipped.total:
             print(f"skipped {skipped.total} frames "

@@ -275,11 +275,12 @@ def decode_sv(frame: RawFrame) -> SvApdu:
     Offsets in a ``DecodeError`` count from the start of the payload.
     """
     _check_ethertype(frame, ETHERTYPE_SV)
-    return SvApdu(*_sv_fields(frame.payload))
+    appid, sv_id, smp_cnt, _ = _sv_fields(frame.payload)
+    return SvApdu(appid, sv_id, smp_cnt)
 
 
-def _sv_fields(buf: bytes) -> Tuple[int, str, int]:
-    """SV payload -> ``(appid, svID, smpCnt)``."""
+def _sv_fields(buf: bytes) -> Tuple[int, str, int, int]:
+    """SV payload -> ``(appid, svID, smpCnt, offset of the smpCnt value)``."""
     appid, end = _split_apdu(buf)
     tag, off, end = _tlv(buf, 8, end)
     if tag != _TAG_SAV_PDU:
@@ -308,7 +309,7 @@ def _sv_fields(buf: bytes) -> Tuple[int, str, int]:
         raise UnsupportedShapeError("seqOfASDU carries more than one ASDU")
 
     sv_id = None
-    smp_cnt = None
+    smp_cnt = smp_at = None
     while off < end:
         tag, start, off = _tlv(buf, off, end)
         if tag == _TAG_SV_ID:
@@ -317,11 +318,18 @@ def _sv_fields(buf: bytes) -> Tuple[int, str, int]:
             if off - start != 2:
                 raise DecodeError(f"smpCnt of {off - start} octets (expected 2)", start)
             smp_cnt = int.from_bytes(buf[start:off], "big")
+            smp_at = start
     if not sv_id:
         raise MissingFieldError("svID")
     if smp_cnt is None:
         raise MissingFieldError("smpCnt")
-    return appid, sv_id, smp_cnt
+    # The two smpCnt value octets at buf[smp_at:smp_at + 2] are only ever
+    # converted: no TLV header is read from them, no branch tests them and
+    # smpCnt has no range check. So when smp_at == len(buf) - 2, any payload
+    # of the same length that equals buf in every octet but the last two
+    # takes the same path and decodes to (appid, svID) with its own smpCnt
+    # (records.extract_records relies on this).
+    return appid, sv_id, smp_cnt, smp_at
 
 
 def encode_sv(apdu: SvApdu, dst_mac: bytes, src_mac: bytes, timestamp: int) -> RawFrame:

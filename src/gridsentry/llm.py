@@ -315,6 +315,10 @@ def detect_llm(dataset: LabeledDataset, rules: RuleSet, cfg: ChatClientConfig,
                 except Exception as exc:  # endpoint/transport failures retry
                     last_error = f"window {window_id} attempt {attempt}: {exc}"
                     continue
+                if not isinstance(raw, str):
+                    last_error = (f"window {window_id} attempt {attempt}: "
+                                  f"reply of type {type(raw).__name__}, expected str")
+                    continue
                 response = parse_response(raw, bundle.window[1])
                 if transcript is not None:
                     transcript.write(json.dumps({

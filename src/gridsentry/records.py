@@ -138,23 +138,34 @@ def extract_records(frames) -> Tuple[List[GooseRecord], List[SvRecord], SkipRepo
 
     Frames with other ethertypes and frames that fail to decode are counted
     in the skip report, never fatal. Each distinct MAC is rendered once, and
-    records of one address share its string.
+    records of one address share its string. Each SV frame layout is decoded
+    once per call: an SV frame whose last field is ``smpCnt`` stores its
+    ``(appid, svID)`` under every octet but the last two, and a later frame
+    with those same octets takes them and reads only its own ``smpCnt``.
     """
     goose: List[GooseRecord] = []
     sv: List[SvRecord] = []
     report = SkipReport()
     macs = {}
+    layouts = {}  # SV payload[:-2] -> (appid, svID); see frames._sv_fields
     for i, frame in enumerate(frames):
         ethertype = frame.ethertype
-        if ethertype == ETHERTYPE_SV:
-            fields = _sv_fields
-        elif ethertype == ETHERTYPE_GOOSE:
-            fields = _goose_fields
-        else:
-            report.skipped_ethertype += 1
-            continue
+        payload = frame.payload
         try:
-            values = fields(frame.payload)
+            if ethertype == ETHERTYPE_SV:
+                if layouts and (layout := layouts.get(payload[:-2])) is not None:
+                    appid, sv_id = layout
+                    smp_cnt = int.from_bytes(payload[-2:], "big")
+                else:
+                    appid, sv_id, smp_cnt, smp_at = _sv_fields(payload)
+                    if smp_at == len(payload) - 2:
+                        layouts[payload[:-2]] = appid, sv_id
+                goose_values = None
+            elif ethertype == ETHERTYPE_GOOSE:
+                goose_values = _goose_fields(payload)
+            else:
+                report.skipped_ethertype += 1
+                continue
         except ToolkitError as exc:
             report.skipped_decode_errors += 1
             report.errors.append(f"frame {i}: {exc}")
@@ -165,11 +176,10 @@ def extract_records(frames) -> Tuple[List[GooseRecord], List[SvRecord], SkipRepo
         sm = macs.get(frame.src_mac)
         if sm is None:
             sm = macs[frame.src_mac] = mac_to_str(frame.src_mac)
-        if fields is _sv_fields:
-            appid, sv_id, smp_cnt = values
+        if goose_values is None:
             sv.append(SvRecord(frame.timestamp, dm, sm, ethertype, appid, sv_id, smp_cnt))
         else:
-            appid, gocb_ref, dat_set, go_id, st_num, sq_num, data1, data2, _ttl = values
+            appid, gocb_ref, dat_set, go_id, st_num, sq_num, data1, data2, _ttl = goose_values
             goose.append(GooseRecord(frame.timestamp, dm, sm, ethertype, appid, dat_set,
                                      go_id, gocb_ref, st_num, sq_num, data1, data2))
     return goose, sv, report

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from gridsentry.cli import main
+from gridsentry.frames import GooseApdu, RawFrame, encode_goose
+from gridsentry.pcapio import write_pcap
 from gridsentry.records import Label, load_jsonl
 from gridsentry.rules import Level, RuleSet, save_ruleset
 
@@ -143,6 +145,32 @@ class TestPcap:
         assert run(["pcap", "encode", "--in", str(decoded),
                     "--out", str(pcap2)]) == 0
         assert pcap2.read_bytes() == pcap.read_bytes()
+
+    def test_decode_records_capture_end_for_trailing_silence(self, tmp_path):
+        dst, src = bytes.fromhex("010ccd010000"), bytes.fromhex("000000273600")
+        frames = [encode_goose(GooseApdu(appid=1, gocbRef="IED1/LLN0$GO$gcb1",
+                                         datSet="IED1/LLN0$ds1", goID="gcb1", stNum=1,
+                                         sqNum=n, data1=False, data2=False),
+                               dst, src, n * 2_000_000) for n in range(3)]
+        # a foreign frame 15 s after the last heartbeat ends the capture
+        frames.append(RawFrame(19_000_000, dst, src, 0x0800, b"ip-payload"))
+        pcap = tmp_path / "silent.pcap"
+        write_pcap(frames, str(pcap))
+        decoded = tmp_path / "silent.jsonl"
+        assert run(["pcap", "decode", "--in", str(pcap), "--out", str(decoded)]) == 0
+        assert load_jsonl(str(decoded)).meta["capture_end_us"] == 19_000_000
+        verd = tmp_path / "v.jsonl"
+        assert run(["detect", "--engine", "rules", "--level", "full", "--in", str(decoded),
+                    "--predictions", str(tmp_path / "p.json"), "--verdicts", str(verd)]) == 0
+        verdicts = [json.loads(line) for line in verd.read_text().splitlines()]
+        assert [(v["index"], v["rule"]) for v in verdicts] == [(2, "G_SYS_1")]
+
+    def test_decode_of_empty_capture_records_no_capture_end(self, tmp_path):
+        pcap = tmp_path / "empty.pcap"
+        write_pcap([], str(pcap))
+        decoded = tmp_path / "empty.jsonl"
+        assert run(["pcap", "decode", "--in", str(pcap), "--out", str(decoded)]) == 0
+        assert "capture_end_us" not in load_jsonl(str(decoded)).meta
 
     def test_missing_file_is_error(self, tmp_path, capsys):
         code = run(["pcap", "decode", "--in", str(tmp_path / "missing.pcap"),

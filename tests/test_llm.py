@@ -161,6 +161,18 @@ class _AlwaysDownClient(ChatClient):
         raise RuntimeError("down")
 
 
+class _ScriptedClient(ChatClient):
+    """Returns ``replies`` in turn, repeating the last one."""
+
+    def __init__(self, *replies):
+        self.replies = replies
+        self.calls = 0
+
+    def complete(self, bundle, window_id):
+        self.calls += 1
+        return self.replies[min(self.calls, len(self.replies)) - 1]
+
+
 class TestDetectLlm:
     def test_retries_recover(self):
         ds = sv_eval()
@@ -176,6 +188,25 @@ class TestDetectLlm:
         assert report.failed_windows == list(range((len(ds) + 19) // 20))
         assert report.predictions == [False] * len(ds)
         assert report.warnings
+
+    def test_non_string_reply_fails_window_after_retries(self):
+        ds = sv_eval()
+        cfg = ChatClientConfig(window_size=len(ds), max_retries=2)
+        client = _ScriptedClient(None)
+        report = detect_llm(ds, FULL, cfg, client)
+        assert report.failed_windows == [0]
+        assert report.predictions == [False] * len(ds)
+        assert "NoneType" in report.warnings[0]
+        assert client.calls == 3
+
+    def test_non_string_reply_then_valid_reply_recovers(self):
+        ds = sv_eval()
+        cfg = ChatClientConfig(window_size=len(ds), max_retries=2)
+        client = _ScriptedClient(None, '{"anomalies": [1]}')
+        report = detect_llm(ds, FULL, cfg, client)
+        assert report.failed_windows == []
+        assert report.predictions == [i == 1 for i in range(len(ds))]
+        assert client.calls == 2
 
     def test_transcript_written(self, tmp_path):
         ds = sv_eval()

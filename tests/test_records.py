@@ -1,11 +1,15 @@
 import json
+import random
 
 import pytest
 
-from gridsentry.errors import InvariantViolationError, SchemaError
-from gridsentry.frames import RawFrame
+from gridsentry.errors import InvariantViolationError, SchemaError, ToolkitError
+from gridsentry.frames import ETHERTYPE_SV, RawFrame, decode_sv
+from gridsentry.frames import _apdu_header, _encode_tlv as _tlv
 from gridsentry.records import (
     Label,
+    SkipReport,
+    SvRecord,
     export_csv,
     extract_records,
     dataset_to_frames,
@@ -56,6 +60,86 @@ class TestExtract:
         goose, _, report = extract_records(dataset_to_frames(ds))
         assert report.total == 0
         assert goose == ds.records
+
+
+def _sv_payload(asdu_fields, pdu_tail=b"", appid=0x4000):
+    """One-ASDU SV payload from raw ASDU TLVs; ``pdu_tail`` follows seqASDU."""
+    body = (_tlv(0x80, b"\x01") + _tlv(0xA2, _tlv(0x30, b"".join(asdu_fields)))
+            + pdu_tail)
+    return _apdu_header(appid, _tlv(0x60, body))
+
+
+def _sv_id(text):
+    return _tlv(0x80, text)
+
+
+def _smp_cnt(value):
+    return _tlv(0x82, value.to_bytes(2, "big"))
+
+
+class TestSvLayoutMemo:
+    """extract_records reads only smpCnt from a repeat SV layout; it must
+    still give exactly what decoding every frame on its own gives."""
+
+    @staticmethod
+    def _payloads():
+        plain = [_sv_payload([_sv_id(sv_id), _smp_cnt(smp)], appid=appid)
+                 for smp in (0, 1, 4799, 65535)
+                 for sv_id, appid in ((b"MU01", 0x4000), (b"MU02", 0x4001))]
+        # same smpCnt, a different TLV after it (9-2LE puts confRev there)
+        trailing = [_sv_payload([_sv_id(b"MU03"), _smp_cnt(5), _tlv(0x83, tail)])
+                    for tail in (b"\x00\x01", b"\x00\x02", b"\x12\x34")]
+        le_shape = [_sv_payload([_sv_id(b"MU04"), _smp_cnt(smp), _tlv(0x83, b"\x00\x00\x00\x01"),
+                                 _tlv(0x85, b"\x02"), _tlv(0x87, bytes(16))])
+                    for smp in (6, 7)]
+        # svID after smpCnt, ending in octets that look like an smpCnt TLV
+        late_id = [_sv_payload([_smp_cnt(7), _sv_id(b"MU\x82\x02" + tail)])
+                   for tail in (b"\x00\x01", b"\x00\x02", b"\x00\x03")]
+        # a savPdu-level TLV after seqASDU, also shaped like an smpCnt TLV
+        pdu_tail = [_sv_payload([_sv_id(b"MU05"), _smp_cnt(9)], pdu_tail=_tlv(0x82, tail))
+                    for tail in (b"\x00\x01", b"\x00\x02")]
+        bases = plain + trailing + le_shape + late_id + pdu_tail
+        rng = random.Random(11)
+        broken = []
+        for payload in bases:
+            for _ in range(6):
+                broken.append(payload[:rng.randrange(len(payload))])
+                flipped = bytearray(payload)
+                flipped[rng.randrange(len(payload))] ^= 1 << rng.randrange(8)
+                broken.append(bytes(flipped))
+        payloads = (bases + broken) * 2
+        rng.shuffle(payloads)
+        return payloads
+
+    def test_records_and_report_equal_per_frame_decode(self):
+        macs = [bytes.fromhex("010ccd040000"), bytes.fromhex("000000273500")]
+        frames = [RawFrame(i * 208, macs[i % 2], macs[1 - i % 2], ETHERTYPE_SV, payload)
+                  for i, payload in enumerate(self._payloads())]
+        want = []
+        want_report = SkipReport()
+        for i, frame in enumerate(frames):
+            try:
+                apdu = decode_sv(frame)
+            except ToolkitError as exc:
+                want_report.skipped_decode_errors += 1
+                want_report.errors.append(f"frame {i}: {exc}")
+                continue
+            want.append(SvRecord(frame.timestamp, mac_to_str(frame.dst_mac),
+                                 mac_to_str(frame.src_mac), ETHERTYPE_SV,
+                                 apdu.appid, apdu.svID, apdu.smpCnt))
+        goose, sv, report = extract_records(frames)
+        assert goose == []
+        assert sv == want
+        assert report == want_report
+        assert 0 < report.skipped_decode_errors < len(frames)
+
+    def test_repeat_layout_shares_the_sv_id_string(self):
+        frames = [RawFrame(i, b"\x01" * 6, b"\x02" * 6, ETHERTYPE_SV,
+                           _sv_payload([_sv_id(b"MU01"), _smp_cnt(i)])) for i in range(3)]
+        _, sv, report = extract_records(frames)
+        assert [rec.smpCnt for rec in sv] == [0, 1, 2]
+        assert sv[0].svID is sv[1].svID is sv[2].svID
+        assert report.total == 0
 
 
 class TestJsonl:
