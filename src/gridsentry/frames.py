@@ -184,11 +184,14 @@ def decode_goose(frame: RawFrame) -> GooseApdu:
     Offsets in a ``DecodeError`` count from the start of the payload.
     """
     _check_ethertype(frame, ETHERTYPE_GOOSE)
-    return GooseApdu(*_goose_fields(frame.payload))
+    return GooseApdu(*_goose_fields(frame.payload)[:9])
 
 
 def _goose_fields(buf: bytes) -> tuple:
-    """GOOSE payload -> the ``GooseApdu`` fields, in declaration order."""
+    """GOOSE payload -> the ``GooseApdu`` fields, in declaration order, then
+    ``st_start, st_stop, sq_start, sq_stop, bool1_at, bool2_at``: where the
+    stNum and sqNum values and the two boolean octets lie in ``buf``.
+    """
     appid, end = _split_apdu(buf)
     tag, off, end = _tlv(buf, 8, end)
     if tag != _TAG_GOOSE_PDU:
@@ -207,8 +210,10 @@ def _goose_fields(buf: bytes) -> tuple:
             go_id = buf[start:off].decode("ascii", errors="replace")
         elif tag == _TAG_ST_NUM:
             st_num = _decode_uint(buf, start, off, 4)
+            st_start, st_stop = start, off
         elif tag == _TAG_SQ_NUM:
             sq_num = _decode_uint(buf, start, off, 4)
+            sq_start, sq_stop = start, off
         elif tag == _TAG_ALL_DATA:
             booleans = _decode_all_data(buf, start, off)
         # unknown tags inside the wrapper are skipped (length-delimited)
@@ -218,12 +223,22 @@ def _goose_fields(buf: bytes) -> tuple:
         raise MissingFieldError(_GOOSE_MANDATORY[found.index(None)])
     if not (gocb_ref and dat_set and go_id):
         raise MissingFieldError("gocbRef" if not gocb_ref else ("datSet" if not dat_set else "goID"))
-    return (appid, gocb_ref, dat_set, go_id, st_num, sq_num,
-            booleans[0], booleans[1], ttl_ms)
+    # The stNum and sqNum value octets and the two boolean octets are only
+    # ever converted (int.from_bytes, != 0): every branch, tag test, length
+    # check (_decode_uint's too) and overrun check reads tags and length
+    # octets only. So any payload of the same length that equals buf in every
+    # octet outside those four spans takes the same path and decodes to the
+    # same appid/gocbRef/datSet/goID with its own counters and booleans
+    # (records.extract_records relies on this).
+    data1, data2, bool1_at, bool2_at = booleans
+    return (appid, gocb_ref, dat_set, go_id, st_num, sq_num, data1, data2, ttl_ms,
+            st_start, st_stop, sq_start, sq_stop, bool1_at, bool2_at)
 
 
 def _decode_all_data(buf: bytes, off: int, end: int):
+    """allData -> ``(data1, data2, offset of data1, offset of data2)``."""
     entries = []
+    offsets = []
     while off < end:
         tag, start, off = _tlv(buf, off, end)
         if tag != _TAG_BOOLEAN:
@@ -233,11 +248,12 @@ def _decode_all_data(buf: bytes, off: int, end: int):
         if off - start != 1:
             raise DecodeError(f"boolean of {off - start} octets", start)
         entries.append(buf[start] != 0)
+        offsets.append(start)
     if len(entries) != 2:
         raise UnsupportedShapeError(
             f"allData carries {len(entries)} entries, exactly 2 booleans supported"
         )
-    return entries
+    return entries[0], entries[1], offsets[0], offsets[1]
 
 
 def encode_goose(apdu: GooseApdu, dst_mac: bytes, src_mac: bytes, timestamp: int) -> RawFrame:

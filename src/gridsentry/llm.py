@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import rules as rules_mod
 from .errors import InvariantViolationError, ToolkitError
 from .records import GooseRecord, Label, LabeledDataset
-from .rules import Level, RuleId, RuleSet
+from .rules import Level, RuleId, RuleSet, TimingConfig
 
 DEFAULT_TOKEN_ENV = "GRIDSENTRY_API_TOKEN"
 
@@ -27,6 +27,7 @@ _SYSTEM_TEXT = (
     "If every row looks normal, reply {\"anomalies\": []}."
 )
 
+# Rule sentences; the {names} are thresholds, filled in by _threshold_words.
 _RULE_TEXT = {
     RuleId.G_DI_1: ('If data has the same "DM" and "SM," "sqNum" should be '
                     "increased every time."),
@@ -34,8 +35,9 @@ _RULE_TEXT = {
                     'should be increased by 1 and "sqNum" should be reset to 0.'),
     RuleId.G_DI_3: ('If data has the same "DM" and "SM," once "stNum" is '
                     "increased, it cannot go back to smaller numbers."),
-    RuleId.G_DOS_1: "There are up to 10 packets (rows) within 10 ms.",
-    RuleId.G_SYS_1: "There should be a packet (dataset) within 10 s.",
+    RuleId.G_DOS_1: ("There are up to {goose_dos_max_packets} packets (rows) within "
+                     "{goose_dos_window_ms} ms."),
+    RuleId.G_SYS_1: "There should be a packet (dataset) within {goose_heartbeat_max_gap_s} s.",
     RuleId.G_RE_1: ('If there is any change in "data1" or "data2," "stNum" '
                     'should be increased 1 and "sqNum" should be reset to 0; '
                     "a previously seen combination must not reappear."),
@@ -44,8 +46,9 @@ _RULE_TEXT = {
                     "up to 4799 and then reset to 0."),
     RuleId.S_DI_3: ('"smpCnt" cannot be decreased until it reaches 4799 and '
                     "resets to 0."),
-    RuleId.S_DOS_1: "A normal time interval should be around 208 microseconds.",
-    RuleId.S_DOS_2: "There are up to 12 packets within 2.083 ms.",
+    RuleId.S_DOS_1: ("A normal time interval should be around {sv_nominal_interval_us} "
+                     "microseconds."),
+    RuleId.S_DOS_2: "There are up to {sv_dos_max_packets} packets within {sv_dos_window_ms} ms.",
     RuleId.S_SYS_1: '"smpCnt" should be increased every time by 1.',
 }
 
@@ -98,15 +101,36 @@ class DetectorResponse:
     warnings: List[str] = field(default_factory=list)
 
 
+def _decimal(value, shift: int = 0, places: int = 0) -> str:
+    """``value / 10**shift`` with ``places`` decimals, trailing zeros stripped
+    (``:g`` would round to six significant digits)."""
+    text = f"{value / 10 ** shift:.{places}f}"
+    return text.rstrip("0").rstrip(".") if "." in text else text
+
+
+def _threshold_words(t: TimingConfig) -> dict:
+    return {
+        "goose_dos_max_packets": t.goose_dos_max_packets,
+        "goose_dos_window_ms": _decimal(t.goose_dos_window_us, 3, 3),
+        "goose_heartbeat_max_gap_s": _decimal(t.goose_heartbeat_max_gap_us, 6, 6),
+        "sv_nominal_interval_us": _decimal(t.sv_nominal_interval_us),
+        "sv_dos_max_packets": t.sv_dos_max_packets,
+        "sv_dos_window_ms": _decimal(t.sv_dos_window_us, 3, 3),
+    }
+
+
 def serialize_rules(rules: RuleSet, protocol: str) -> str:
-    """Render the enabled rules for one protocol as numbered sentences."""
+    """Render the enabled rules for one protocol as numbered sentences that
+    state the rule set's own thresholds."""
     if protocol not in ("GOOSE", "SV"):
         raise InvariantViolationError(f"unknown protocol {protocol!r}")
     if rules.level == Level.WITHOUT:
         return ""
     order = rules_mod.GOOSE_RULES if protocol == "GOOSE" else rules_mod.SV_RULES
     enabled = [r for r in order if r in rules.enabled]
-    return "\n".join(f"{i}. {_RULE_TEXT[r]}" for i, r in enumerate(enabled, start=1))
+    words = _threshold_words(rules.thresholds)
+    return "\n".join(f"{i}. {_RULE_TEXT[r].format(**words)}"
+                     for i, r in enumerate(enabled, start=1))
 
 
 def _records_table(records: Sequence, start: int) -> str:

@@ -4,7 +4,7 @@ import struct
 from typing import Iterable, List
 
 from .errors import OrderingViolationError, TruncatedCaptureError, UnsupportedFormatError
-from .frames import RawFrame
+from .frames import ETHERTYPE_VLAN, RawFrame
 
 MAGIC_USEC = 0xA1B2C3D4
 MAGIC_USEC_SWAPPED = 0xD4C3B2A1
@@ -21,7 +21,9 @@ def read_pcap(file_path) -> List[RawFrame]:
     """Read every Ethernet frame from a classic pcap file, in file order.
 
     Timestamps are converted to integer microseconds (nanosecond captures
-    truncate). Non-Ethernet link types and unknown magics are rejected.
+    truncate). One 802.1Q tag is stripped: a tagged frame comes back with its
+    inner ethertype and the payload after the tag. Non-Ethernet link types and
+    unknown magics are rejected.
     """
     with open(file_path, "rb") as fh:
         header = fh.read(24)
@@ -56,8 +58,13 @@ def read_pcap(file_path) -> List[RawFrame]:
                 raise TruncatedCaptureError("frame shorter than an Ethernet header", len(frames))
             micros = ts_frac // 1000 if nanoseconds else ts_frac
             dst_mac, src_mac, ethertype = _ETHERNET_HEADER.unpack_from(data)
+            if ethertype == ETHERTYPE_VLAN and incl_len >= 18:
+                ethertype = int.from_bytes(data[16:18], "big")
+                payload = data[18:]
+            else:
+                payload = data[14:]
             frames.append(RawFrame(ts_sec * 1_000_000 + micros, dst_mac, src_mac,
-                                   ethertype, data[14:]))
+                                   ethertype, payload))
 
 
 def write_pcap(frames: Iterable[RawFrame], file_path) -> None:

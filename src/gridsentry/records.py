@@ -142,12 +142,25 @@ def extract_records(frames) -> Tuple[List[GooseRecord], List[SvRecord], SkipRepo
     once per call: an SV frame whose last field is ``smpCnt`` stores its
     ``(appid, svID)`` under every octet but the last two, and a later frame
     with those same octets takes them and reads only its own ``smpCnt``.
+    Each GOOSE frame layout is decoded once per call too: a GOOSE frame whose
+    stNum, sqNum and boolean values come in that order stores its ``(appid,
+    gocbRef, datSet, goID)`` with every other octet, and a later frame of the
+    same length with those same octets takes them and reads only its own
+    four values. Records of one GOOSE layout share its strings.
     """
     goose: List[GooseRecord] = []
     sv: List[SvRecord] = []
     report = SkipReport()
     macs = {}
     layouts = {}  # SV payload[:-2] -> (appid, svID); see frames._sv_fields
+    # GOOSE payload[:st_start] -> layout: the payload length, the four value
+    # spans, the octets after each span and (appid, gocbRef, datSet, goID);
+    # see frames._goose_fields.
+    goose_layouts = {}
+    # (src MAC, dst MAC, payload length) -> st_start of the last layout stored
+    # for it. Only a hint: a wrong one costs a full decode, never a wrong
+    # record. The length tells apart most control blocks of one publisher.
+    st_starts = {}
     for i, frame in enumerate(frames):
         ethertype = frame.ethertype
         payload = frame.payload
@@ -160,9 +173,40 @@ def extract_records(frames) -> Tuple[List[GooseRecord], List[SvRecord], SkipRepo
                     appid, sv_id, smp_cnt, smp_at = _sv_fields(payload)
                     if smp_at == len(payload) - 2:
                         layouts[payload[:-2]] = appid, sv_id
-                goose_values = None
+                is_goose = False
             elif ethertype == ETHERTYPE_GOOSE:
-                goose_values = _goose_fields(payload)
+                hint = frame.src_mac, frame.dst_mac, len(payload)
+                st_start = st_starts.get(hint)
+                layout = None
+                if st_start is not None:
+                    layout = goose_layouts.get(payload[:st_start])
+                if layout is not None:
+                    (size, st_stop, after_st, sq_start, sq_stop, after_sq, bool1_at,
+                     after_bool1, bool2_at, after_bool2, head) = layout
+                    if not (len(payload) == size
+                            and payload.startswith(after_st, st_stop)
+                            and payload.startswith(after_sq, sq_stop)
+                            and payload.startswith(after_bool1, bool1_at + 1)
+                            and payload.startswith(after_bool2, bool2_at + 1)):
+                        layout = None
+                if layout is not None:
+                    appid, gocb_ref, dat_set, go_id = head
+                    st_num = int.from_bytes(payload[st_start:st_stop], "big")
+                    sq_num = int.from_bytes(payload[sq_start:sq_stop], "big")
+                    data1 = payload[bool1_at] != 0
+                    data2 = payload[bool2_at] != 0
+                else:
+                    (appid, gocb_ref, dat_set, go_id, st_num, sq_num, data1, data2, _ttl,
+                     st_start, st_stop, sq_start, sq_stop, bool1_at, bool2_at
+                     ) = _goose_fields(payload)
+                    if st_stop <= sq_start and sq_stop <= bool1_at < bool2_at:
+                        st_starts[hint] = st_start
+                        goose_layouts[payload[:st_start]] = (
+                            len(payload), st_stop, payload[st_stop:sq_start], sq_start, sq_stop,
+                            payload[sq_stop:bool1_at], bool1_at,
+                            payload[bool1_at + 1:bool2_at], bool2_at,
+                            payload[bool2_at + 1:], (appid, gocb_ref, dat_set, go_id))
+                is_goose = True
             else:
                 report.skipped_ethertype += 1
                 continue
@@ -176,12 +220,11 @@ def extract_records(frames) -> Tuple[List[GooseRecord], List[SvRecord], SkipRepo
         sm = macs.get(frame.src_mac)
         if sm is None:
             sm = macs[frame.src_mac] = mac_to_str(frame.src_mac)
-        if goose_values is None:
-            sv.append(SvRecord(frame.timestamp, dm, sm, ethertype, appid, sv_id, smp_cnt))
-        else:
-            appid, gocb_ref, dat_set, go_id, st_num, sq_num, data1, data2, _ttl = goose_values
+        if is_goose:
             goose.append(GooseRecord(frame.timestamp, dm, sm, ethertype, appid, dat_set,
                                      go_id, gocb_ref, st_num, sq_num, data1, data2))
+        else:
+            sv.append(SvRecord(frame.timestamp, dm, sm, ethertype, appid, sv_id, smp_cnt))
     return goose, sv, report
 
 

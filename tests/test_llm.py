@@ -17,7 +17,7 @@ from gridsentry.llm import (
     serialize_rules,
 )
 from gridsentry.records import Label
-from gridsentry.rules import Level, RuleSet, detect_batch, verdicts_to_predictions
+from gridsentry.rules import Level, RuleSet, TimingConfig, detect_batch, verdicts_to_predictions
 from gridsentry.simulate import make_eval_set
 
 FULL = RuleSet.for_level(Level.FULL)
@@ -52,6 +52,44 @@ class TestSerializeRules:
         assert "10 packets" in text and "10 s" in text
         assert "previously seen combination" in text  # replay clause, full only
         assert "previously seen combination" not in serialize_rules(PARTIAL, "GOOSE")
+
+
+    def test_default_thresholds_give_the_fixed_text(self):
+        # prompt_bytes_per_record of the benchmark rests on this text
+        assert serialize_rules(FULL, "GOOSE") == (
+            '1. If data has the same "DM" and "SM," "sqNum" should be increased every time.\n'
+            '2. If there is any change in "data1" or "data2," "stNum" should be increased by 1'
+            ' and "sqNum" should be reset to 0.\n'
+            '3. If data has the same "DM" and "SM," once "stNum" is increased, it cannot go'
+            ' back to smaller numbers.\n'
+            "4. There are up to 10 packets (rows) within 10 ms.\n"
+            "5. There should be a packet (dataset) within 10 s.\n"
+            '6. If there is any change in "data1" or "data2," "stNum" should be increased 1'
+            ' and "sqNum" should be reset to 0; a previously seen combination must not'
+            " reappear.")
+        assert serialize_rules(FULL, "SV") == (
+            '1. The range of "smpCnt" is from 0 to 4799.\n'
+            '2. Once the "smpCnt" is increased, it should be increased up to 4799 and then'
+            " reset to 0.\n"
+            '3. "smpCnt" cannot be decreased until it reaches 4799 and resets to 0.\n'
+            "4. A normal time interval should be around 208 microseconds.\n"
+            "5. There are up to 12 packets within 2.083 ms.\n"
+            '6. "smpCnt" should be increased every time by 1.')
+
+    def test_sentences_state_the_thresholds(self):
+        thresholds = TimingConfig(goose_dos_max_packets=3, goose_dos_window_us=12_345_678,
+                                  goose_heartbeat_max_gap_us=1_234_567,
+                                  sv_nominal_interval_us=250, sv_dos_window_us=2_000,
+                                  sv_dos_max_packets=9)
+        rules = RuleSet.for_level(Level.FULL, thresholds)
+        goose = serialize_rules(rules, "GOOSE").splitlines()
+        assert goose[3] == "4. There are up to 3 packets (rows) within 12345.678 ms."
+        assert goose[4] == "5. There should be a packet (dataset) within 1.234567 s."
+        sv = serialize_rules(rules, "SV").splitlines()
+        assert sv[3] == "4. A normal time interval should be around 250 microseconds."
+        assert sv[4] == "5. There are up to 9 packets within 2 ms."
+        partial = serialize_rules(RuleSet.for_level(Level.PARTIAL, thresholds), "GOOSE")
+        assert "up to 3 packets (rows) within 12345.678 ms" in partial
 
 
 class TestBuildPrompts:

@@ -8,7 +8,14 @@ from gridsentry.errors import (
     TruncatedCaptureError,
     UnsupportedFormatError,
 )
-from gridsentry.frames import GooseApdu, RawFrame, encode_goose
+from gridsentry.frames import (
+    ETHERTYPE_VLAN,
+    GooseApdu,
+    RawFrame,
+    SvApdu,
+    encode_goose,
+    encode_sv,
+)
 from gridsentry.pcapio import read_pcap, write_pcap
 from gridsentry.records import extract_records
 
@@ -146,3 +153,41 @@ class TestWriteOrdering:
         path = tmp_path / "eq.pcap"
         write_pcap(frames, str(path))
         assert read_pcap(str(path)) == frames
+
+
+def _tagged(frame, tci=b"\x80\x05"):
+    """``frame`` inside one 802.1Q tag (priority 4, VLAN 5 by default)."""
+    return RawFrame(frame.timestamp, frame.dst_mac, frame.src_mac, ETHERTYPE_VLAN,
+                    tci + frame.ethertype.to_bytes(2, "big") + frame.payload)
+
+
+class TestVlanTag:
+    def _plain(self):
+        goose = _frames(20)
+        sv = [encode_sv(SvApdu(appid=0x4000, svID="MU01", smpCnt=i), DST, SRC, 25_000 + i * 208)
+              for i in range(20)]
+        return sorted(goose + sv, key=lambda frame: frame.timestamp)
+
+    def test_tagged_frames_give_the_untagged_records(self, tmp_path):
+        plain = self._plain()
+        tagged = [_tagged(frame, tci=bytes([0x20 * (i % 8), i % 7]))
+                  for i, frame in enumerate(plain)]
+        path = tmp_path / "vlan.pcap"
+        write_pcap(tagged, str(path))
+        back = read_pcap(str(path))
+        assert back == plain
+        goose, sv, report = extract_records(back)
+        assert (goose, sv, report) == extract_records(plain)
+        assert len(goose) == len(sv) == 20
+        assert report.total == 0
+
+    def test_tag_around_a_foreign_ethertype_is_skipped(self, tmp_path):
+        ip = RawFrame(0, DST, SRC, 0x0800, b"\x45" + bytes(19))
+        short = RawFrame(1, DST, SRC, ETHERTYPE_VLAN, b"\x80\x05")  # no inner ethertype
+        path = tmp_path / "foreign.pcap"
+        write_pcap([_tagged(ip), short], str(path))
+        back = read_pcap(str(path))
+        assert back == [ip, short]
+        goose, sv, report = extract_records(back)
+        assert (goose, sv) == ([], [])
+        assert (report.skipped_ethertype, report.skipped_decode_errors) == (2, 0)

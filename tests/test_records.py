@@ -4,9 +4,11 @@ import random
 import pytest
 
 from gridsentry.errors import InvariantViolationError, SchemaError, ToolkitError
-from gridsentry.frames import ETHERTYPE_SV, RawFrame, decode_sv
-from gridsentry.frames import _apdu_header, _encode_tlv as _tlv
+from gridsentry import records
+from gridsentry.frames import ETHERTYPE_GOOSE, ETHERTYPE_SV, RawFrame, decode_goose, decode_sv
+from gridsentry.frames import _apdu_header, _encode_tlv as _tlv, _encode_uint
 from gridsentry.records import (
+    GooseRecord,
     Label,
     SkipReport,
     SvRecord,
@@ -139,6 +141,207 @@ class TestSvLayoutMemo:
         _, sv, report = extract_records(frames)
         assert [rec.smpCnt for rec in sv] == [0, 1, 2]
         assert sv[0].svID is sv[1].svID is sv[2].svID
+        assert report.total == 0
+
+
+def _long_tlv(tag, value):
+    """A TLV whose length takes the long form ``81 xx`` although it is short."""
+    return bytes([tag, 0x81, len(value)]) + value
+
+
+def _goose_payload(fields, appid=0x0001, long_pdu=False, tail=b""):
+    """GOOSE payload from raw goosePdu TLVs; ``tail`` follows the APDU length."""
+    inner = b"".join(fields)
+    pdu = _long_tlv(0x61, inner) if long_pdu else _tlv(0x61, inner)
+    return _apdu_header(appid, pdu) + tail
+
+
+def _uint(tag, value, long=False):
+    return (_long_tlv if long else _tlv)(tag, _encode_uint(value))
+
+
+def _all_data(b1, b2, long1=False, long2=False):
+    """allData holding two booleans given as their raw value octets."""
+    return _tlv(0xAB, (_long_tlv if long1 else _tlv)(0x83, bytes([b1]))
+                + (_long_tlv if long2 else _tlv)(0x83, bytes([b2])))
+
+
+def _goose_head(gocb_ref=b"IED1/LLN0$GO$gcb01", ttl=None):
+    head = [_tlv(0x80, gocb_ref)]
+    if ttl is not None:
+        head.append(_uint(0x81, ttl))
+    return head + [_tlv(0x82, b"IED1/LLN0$DS1"), _tlv(0x83, b"IED1/LLN0.GO1")]
+
+
+def _per_frame_records(frames):
+    """What extract_records must give: every GOOSE frame decoded on its own."""
+    want = []
+    report = SkipReport()
+    for i, frame in enumerate(frames):
+        try:
+            apdu = decode_goose(frame)
+        except ToolkitError as exc:
+            report.skipped_decode_errors += 1
+            report.errors.append(f"frame {i}: {exc}")
+            continue
+        want.append(GooseRecord(frame.timestamp, mac_to_str(frame.dst_mac),
+                                mac_to_str(frame.src_mac), ETHERTYPE_GOOSE, apdu.appid,
+                                apdu.datSet, apdu.goID, apdu.gocbRef, apdu.stNum,
+                                apdu.sqNum, apdu.data1, apdu.data2))
+    return want, report
+
+
+def _goose_frames(payloads, pair=(b"\x01\x0c\xcd\x01\x00\x01", b"\x00\x00\x00\x27\x35\x01")):
+    dst, src = pair
+    return [RawFrame(i * 1000, dst, src, ETHERTYPE_GOOSE, payload)
+            for i, payload in enumerate(payloads)]
+
+
+# An unknown TLV, and its twin of the same length whose tag is gocbRef's, so a
+# frame that carries the twin in place of the original decodes differently.
+_UNKNOWN = _tlv(0x90, b"SWAP")
+_GOCB_TWIN = _tlv(0x80, b"SWAP")
+
+
+class TestGooseLayoutMemo:
+    """extract_records reads only stNum, sqNum and the two booleans from a
+    repeat GOOSE layout; it must still give exactly what decoding every frame
+    on its own gives."""
+
+    @staticmethod
+    def _families():
+        """Lists of payloads, one list per control block."""
+        head = _goose_head()
+        plain = [_goose_payload(head + [_uint(0x85, st), _uint(0x86, sq), _all_data(b1, b2)])
+                 for st in (1, 2, 256) for sq in (0, 1, 254, 255, 256, 257)
+                 for b1, b2 in ((0, 0), (1, 0), (0, 1), (2, 0xFF))]
+        # TTL before stNum (in the stored key) and after sqNum (compared)
+        ttl = [_goose_payload(_goose_head(b"IED2/LLN0$GO$gcb02", ttl=t)
+                              + [_uint(0x85, 3), _uint(0x86, sq), _all_data(1, 0)])
+               for t in (2000, 4000, 100_000) for sq in (0, 1, 2)]
+        ttl += [_goose_payload(_goose_head(b"IED2/LLN0$GO$gcb03")
+                               + [_uint(0x85, 3), _uint(0x86, sq), _uint(0x81, t),
+                                  _all_data(0, 1)])
+                for t in (2000, 4000, 100_000) for sq in (0, 1, 2)]
+        # long-form lengths on each value TLV, each boolean and the goosePdu
+        long_form = [_goose_payload(_goose_head(b"IED3/LLN0$GO$gcb04")
+                                    + [_uint(0x85, st, long=ls), _uint(0x86, sq, long=lq),
+                                       _all_data(b1, b2, long1=l1, long2=l2)],
+                                    long_pdu=lp)
+                     for st, sq in ((1, 0), (1, 1), (7, 300))
+                     for b1, b2 in ((0, 0), (1, 0), (0, 1), (1, 1))
+                     for ls, lq, l1, l2, lp in ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                                                (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (1, 1, 1, 1, 1))]
+        # values out of order, and a duplicated stNum (the last one counts)
+        head = _goose_head(b"IED4/LLN0$GO$gcb05")
+        odd_order = [_goose_payload(head + fields) for sq in (0, 1, 2) for fields in (
+            [_uint(0x86, sq), _uint(0x85, 5), _all_data(1, 1)],
+            [_all_data(0, 1), _uint(0x85, 5), _uint(0x86, sq)],
+            [_uint(0x85, 4), _uint(0x85, 5), _uint(0x86, sq), _all_data(1, 0)],
+            [_uint(0x85, 4), _uint(0x86, sq), _uint(0x85, 5), _all_data(1, 0)],
+            [_uint(0x85, 5), _uint(0x86, sq), _all_data(1, 0), _uint(0x85, 6)],
+        )]
+        # unknown TLVs in every gap, each also swapped for its gocbRef twin
+        head = _goose_head(b"IED5/LLN0$GO$gcb06")
+        unknown = []
+        for sq in (0, 1, 2):
+            for slot in range(3):
+                for filler in (_UNKNOWN, _GOCB_TWIN):
+                    gaps = [b""] * 3
+                    gaps[slot] = filler
+                    unknown.append(_goose_payload(
+                        head + [_tlv(0x84, bytes(8)), _uint(0x85, 9), gaps[0], _uint(0x86, sq),
+                                gaps[1], _all_data(1, 0)] + gaps[2:] + [_tlv(0x8A, b"\x02")]))
+        # octets after the APDU length, which the decoder never reads
+        head = _goose_head(b"IED6/LLN0$GO$gcb07")
+        trailer = [_goose_payload(head + [_uint(0x85, 2), _uint(0x86, sq), _all_data(0, 0)],
+                                  tail=tail)
+                   for sq in (0, 1) for tail in (b"", b"\x00\x00", b"\xff\x01", b"\x83\x01")]
+        # control blocks of different prefix lengths on one MAC pair
+        shared = [_goose_payload(_goose_head(gocb_ref)
+                                 + [_uint(0x85, 1), _uint(0x86, sq), _all_data(0, 1)])
+                  for gocb_ref in (b"IED7/LLN0$GO$g", b"IED7/LLN0$GO$gcb0008")
+                  for sq in (0, 1, 2, 3)]
+        return [plain, ttl, long_form, odd_order, unknown, trailer, shared]
+
+    def _frames(self, seed):
+        rng = random.Random(seed)
+        tagged = []
+        for family, payloads in enumerate(self._families()):
+            pair = (bytes([1, 0x0C, 0xCD, 1, 0, family]), bytes([0, 0, 0, 0x27, 0x35, family]))
+            for payload in payloads:
+                tagged.append((pair, payload))
+                tagged.append((pair, payload[:rng.randrange(len(payload))]))
+                for _ in range(2):
+                    flipped = bytearray(payload)
+                    for _ in range(rng.randint(1, 2)):
+                        flipped[rng.randrange(len(payload))] ^= 1 << rng.randrange(8)
+                    tagged.append((pair, bytes(flipped)))
+        tagged = tagged + [entry for entry in tagged if rng.random() < 0.5] * 2
+        rng.shuffle(tagged)
+        return [RawFrame(i * 100, dst, src, ETHERTYPE_GOOSE, payload)
+                for i, ((dst, src), payload) in enumerate(tagged)]
+
+    @pytest.mark.parametrize("seed", [3, 5, 8])
+    def test_records_and_report_equal_per_frame_decode(self, seed, monkeypatch):
+        frames = self._frames(seed)
+        want, want_report = _per_frame_records(frames)
+        full = []
+        fields = records._goose_fields
+        monkeypatch.setattr(records, "_goose_fields", lambda buf: full.append(1) or fields(buf))
+        goose, sv, report = extract_records(frames)
+        assert sv == []
+        assert goose == want
+        assert report == want_report
+        assert 0 < report.skipped_decode_errors < len(frames)
+        assert len(full) < len(frames)  # the memo took part
+
+    @pytest.mark.parametrize("slot", ["after stNum", "after sqNum", "after allData"])
+    def test_octets_after_each_value_are_compared(self, slot):
+        head = _goose_head()
+        payloads = []
+        for filler, sq in ((_UNKNOWN, 0), (_GOCB_TWIN, 1), (_UNKNOWN, 2)):
+            gaps = {"after stNum": b"", "after sqNum": b"", "after allData": b""}
+            gaps[slot] = filler
+            payloads.append(_goose_payload(head + [
+                _uint(0x85, 1), gaps["after stNum"], _uint(0x86, sq), gaps["after sqNum"],
+                _all_data(1, 0), gaps["after allData"]]))
+        frames = _goose_frames(payloads)
+        goose, _, report = extract_records(frames)
+        assert (goose, report) == _per_frame_records(frames)
+        assert [rec.gocbRef for rec in goose] == ["IED1/LLN0$GO$gcb01", "SWAP",
+                                                  "IED1/LLN0$GO$gcb01"]
+
+    def test_boolean_after_the_bool1_octet_is_compared(self):
+        head = _goose_head()
+        good = _goose_payload(head + [_uint(0x85, 1), _uint(0x86, 0), _all_data(1, 0)])
+        bad = bytearray(good)
+        bad[-3] = 0x84  # bool2's tag: no longer a boolean
+        frames = _goose_frames([good, bytes(bad), good])
+        goose, _, report = extract_records(frames)
+        assert (goose, report) == _per_frame_records(frames)
+        assert report.skipped_decode_errors == 1
+
+    def test_long_form_boolean_read_on_a_hit(self):
+        head = _goose_head()
+        payloads = [_goose_payload(head + [_uint(0x85, 1), _uint(0x86, sq),
+                                           _all_data(b1, b2, long1=True, long2=True)])
+                    for sq, b1, b2 in ((0, 1, 1), (1, 0, 1), (2, 1, 0), (3, 0, 0))]
+        frames = _goose_frames(payloads)
+        goose, _, report = extract_records(frames)
+        assert report.total == 0
+        assert [(rec.sqNum, rec.data1, rec.data2) for rec in goose] == [
+            (0, True, True), (1, False, True), (2, True, False), (3, False, False)]
+
+    def test_repeat_layout_shares_the_strings(self):
+        head = _goose_head()
+        frames = _goose_frames([_goose_payload(head + [_uint(0x85, 4), _uint(0x86, sq),
+                                                       _all_data(sq % 2, 0)])
+                                for sq in range(3)])
+        goose, _, report = extract_records(frames)
+        assert [(rec.sqNum, rec.data1) for rec in goose] == [(0, False), (1, True), (2, False)]
+        assert goose[0].gocbRef is goose[1].gocbRef is goose[2].gocbRef
+        assert goose[0].datSet is goose[2].datSet and goose[0].goID is goose[2].goID
         assert report.total == 0
 
 
