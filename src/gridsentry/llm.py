@@ -10,6 +10,7 @@ engine internally.
 import json
 import os
 from dataclasses import dataclass, field
+from decimal import MAX_PREC, Context, Decimal
 from typing import List, Optional, Sequence, Tuple
 
 from . import rules as rules_mod
@@ -103,8 +104,11 @@ class DetectorResponse:
 
 def _decimal(value, shift: int = 0, places: int = 0) -> str:
     """``value / 10**shift`` with ``places`` decimals, trailing zeros stripped
-    (``:g`` would round to six significant digits)."""
-    text = f"{value / 10 ** shift:.{places}f}"
+    (``:g`` would round to six significant digits). The shift is exact
+    decimal arithmetic on the value's shortest repr, so no binary
+    floating-point noise digits appear."""
+    exact = Decimal(repr(value)).scaleb(-shift, Context(prec=MAX_PREC))
+    text = f"{exact:.{places}f}"
     return text.rstrip("0").rstrip(".") if "." in text else text
 
 

@@ -263,13 +263,20 @@ def _goose_di_data_flip(work, rng) -> bool:
     return True
 
 
+def _goose_replay_sites(work):
+    """Chain sites whose anchor's era-start message (stNum, sqNum=0) was sent
+    at or before the anchor, in chain-site order."""
+    era_start = {}  # stNum -> index of its first sqNum-0 record
+    for k, (rec, _) in enumerate(work):
+        if rec.sqNum == 0 and rec.stNum not in era_start:
+            era_start[rec.stNum] = k
+    return [(i, end) for i, end in _goose_chain_sites(work)
+            if era_start.get(work[i][0].stNum, i + 1) <= i]
+
+
 def _goose_replay(work, rng) -> bool:
     """Re-emit the era-start message (stNum, sqNum=0) after newer traffic."""
-    sites = []
-    for i, end in _goose_chain_sites(work):
-        st = work[i][0].stNum
-        if any(w[0].stNum == st and w[0].sqNum == 0 for w in work[:i + 1]):
-            sites.append((i, end))
+    sites = _goose_replay_sites(work)
     if not sites:
         return False
     i, end = rng.choice(sites)
@@ -295,34 +302,45 @@ def _goose_dos(work, rng, size=None) -> bool:
     return True
 
 
+def _goose_gap_sites(work):
+    """(anchor, m) pairs, by anchor: deleting the ``m >= 1`` records after the
+    anchor leaves the first record more than ``_GAP_TRIGGER_US`` after it
+    (the survivor) as the anchor's successor.
+
+    The anchor may carry any label: only the deleted run and the survivor
+    matter, and the survivor is relabeled regardless of what fires on it.
+    Both must be NORMAL and must not be era starts, because replay
+    injections need the (stNum, 0) originals to stay observable. Records
+    are time-sorted, so the survivor index never decreases with the anchor.
+    """
+    n = len(work)
+    # blocked_from[k]: the first index >= k that may be neither deleted nor
+    # a survivor (n if none)
+    blocked_from = [n] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        rec, label = work[k]
+        blocked_from[k] = (k if label != Label.NORMAL or rec.sqNum == 0
+                           else blocked_from[k + 1])
+    sites = []
+    survivor = 0
+    for i in range(n - 2):
+        limit = work[i][0].time_us + _GAP_TRIGGER_US
+        while survivor < n and work[survivor][0].time_us <= limit:
+            survivor += 1
+        if survivor == n:
+            break
+        if survivor - i > 1 and blocked_from[i + 1] > survivor:
+            sites.append((i, survivor - i - 1))
+    return sites
+
+
 def _goose_sys(work, rng, frugal=False) -> bool:
     """Delete a run of records so the next packet arrives > 10 s late.
 
     With ``frugal`` the least-destructive sites (fewest deletions) are
     preferred, which keeps dense eval sets feasible.
     """
-    # the anchor may carry any label: only the deleted run and the survivor
-    # matter, and the survivor is relabeled regardless of what fires on it
-    candidates = []
-    for i in range(len(work) - 2):
-        m = 0
-        survivor = None
-        while True:
-            nxt = i + m + 1
-            if nxt >= len(work):
-                break
-            if work[nxt][0].time_us - work[i][0].time_us > _GAP_TRIGGER_US:
-                survivor = nxt
-                break
-            # never delete an era-start record: replay injections need the
-            # (stNum, 0) originals to stay observable
-            if not _normal(work, nxt) or work[nxt][0].sqNum == 0:
-                break
-            m += 1
-        if (survivor is None or m < 1 or not _normal(work, survivor)
-                or work[survivor][0].sqNum == 0):
-            continue
-        candidates.append((i, m))
+    candidates = _goose_gap_sites(work)
     if not candidates:
         return False
     if frugal:

@@ -91,6 +91,15 @@ class TestSerializeRules:
         partial = serialize_rules(RuleSet.for_level(Level.PARTIAL, thresholds), "GOOSE")
         assert "up to 3 packets (rows) within 12345.678 ms" in partial
 
+    @pytest.mark.parametrize("gap_us, words", [
+        (1e30, "1000000000000000000000000 s"),
+        (12345678901234567890, "12345678901234.56789 s"),
+    ])
+    def test_large_thresholds_print_without_noise_digits(self, gap_us, words):
+        rules = RuleSet.for_level(Level.FULL, TimingConfig(goose_heartbeat_max_gap_us=gap_us))
+        goose = serialize_rules(rules, "GOOSE").splitlines()
+        assert goose[4] == f"5. There should be a packet (dataset) within {words}."
+
 
 class TestBuildPrompts:
     def test_windows_partition_dataset(self):

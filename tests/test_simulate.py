@@ -1,10 +1,19 @@
+import random
+
 import pytest
 
-from gridsentry.errors import UnsupportedInjectionError
+from gridsentry import simulate
+from gridsentry.errors import InsufficientCarrierError, UnsupportedInjectionError
 from gridsentry.records import Label
 from gridsentry.rules import Level, RuleSet, detect_batch, rule_class, verdicts_to_predictions
 from gridsentry.simulate import (
+    _GAP_TRIGGER_US,
     ScenarioConfig,
+    _goose_chain_sites,
+    _goose_gap_sites,
+    _goose_record,
+    _goose_replay_sites,
+    _normal,
     gen_goose_normal,
     gen_sv_normal,
     inject,
@@ -135,3 +144,157 @@ class TestMakeEvalSet:
         a = make_eval_set("SV", anomalies=30, normals=10, seed=77)
         b = make_eval_set("SV", anomalies=30, normals=10, seed=77)
         assert a.records == b.records and a.labels == b.labels
+
+
+# The quadratic site searches that _goose_replay_sites and _goose_gap_sites
+# replaced, kept as the reference they must agree with.
+def _oracle_replay_sites(work):
+    sites = []
+    for i, end in _goose_chain_sites(work):
+        st = work[i][0].stNum
+        if any(w[0].stNum == st and w[0].sqNum == 0 for w in work[:i + 1]):
+            sites.append((i, end))
+    return sites
+
+
+def _oracle_gap_sites(work):
+    candidates = []
+    for i in range(len(work) - 2):
+        m = 0
+        survivor = None
+        while True:
+            nxt = i + m + 1
+            if nxt >= len(work):
+                break
+            if work[nxt][0].time_us - work[i][0].time_us > _GAP_TRIGGER_US:
+                survivor = nxt
+                break
+            # never delete an era-start record: replay injections need the
+            # (stNum, 0) originals to stay observable
+            if not _normal(work, nxt) or work[nxt][0].sqNum == 0:
+                break
+            m += 1
+        if (survivor is None or m < 1 or not _normal(work, survivor)
+                or work[survivor][0].sqNum == 0):
+            continue
+        candidates.append((i, m))
+    return candidates
+
+
+def _work(ds):
+    return [[rec, label] for rec, label in zip(ds.records, ds.labels)]
+
+
+def _hand_work(rows):
+    """[[record, label]] from (time_us, stNum, sqNum[, label]) rows."""
+    return [[_goose_record(row[0], row[1], row[2], False),
+             row[3] if len(row) > 3 else Label.NORMAL] for row in rows]
+
+
+def _injected_streams():
+    """Multi-era streams carrying every GOOSE injection class, in several orders."""
+    plans = [
+        [(Label.SYSTEM_PROBLEM, 2), (Label.DOS, 1), (Label.DATA_INJECTION, 3), (Label.REPLAY, 2)],
+        [(Label.DATA_INJECTION, 4), (Label.REPLAY, 3), (Label.SYSTEM_PROBLEM, 1)],
+        [(Label.REPLAY, 2), (Label.DATA_INJECTION, 3), (Label.REPLAY, 2), (Label.DOS, 1),
+         (Label.SYSTEM_PROBLEM, 1)],
+    ]
+    for seed in range(6):
+        for p, plan in enumerate(plans):
+            ds = goose_base(seed=seed, events=3 + seed % 2, duration_us=180_000_000)
+            for n, (klass, count) in enumerate(plan):
+                try:
+                    ds = inject(ds, klass, count, seed=100 * seed + 10 * p + n)
+                except InsufficientCarrierError:
+                    continue
+            yield ds
+
+
+def _random_work(rng, n):
+    """Time-sorted records with clashing stNum/sqNum values, any labels, and
+    steps that straddle the 4 ms chain bound and the gap trigger."""
+    steps = [0, 1, 3_999, 4_000, 2_000_000, _GAP_TRIGGER_US - 1, _GAP_TRIGGER_US,
+             _GAP_TRIGGER_US + 1, 3 * _GAP_TRIGGER_US]
+    labels = [Label.NORMAL] * 6 + list(Label)
+    work, t = [], 0
+    for _ in range(n):
+        t += rng.choice(steps)
+        rec = _goose_record(t, rng.randint(1, 3), rng.choice([0, 0, 1, 2, 3]),
+                            rng.random() < 0.5)
+        work.append([rec, rng.choice(labels)])
+    return work
+
+
+class TestInjectionSiteSearch:
+    """The one-pass site searches return exactly the reference site lists,
+    in order, so every seeded rng.choice still draws the same site."""
+
+    def _agree(self, work):
+        assert _goose_replay_sites(work) == _oracle_replay_sites(work)
+        assert _goose_gap_sites(work) == _oracle_gap_sites(work)
+
+    def test_multi_era_streams_with_backoff(self):
+        for seed in range(8):
+            for events in (1, 2, 4):
+                work = _work(goose_base(seed=seed, events=events, duration_us=120_000_000))
+                assert _goose_replay_sites(work) and _goose_gap_sites(work)
+                self._agree(work)
+
+    def test_injected_streams(self):
+        kinds = set()
+        for ds in _injected_streams():
+            kinds.update(ds.labels)
+            self._agree(_work(ds))
+        assert kinds == set(Label)
+
+    def test_trimmed_heads(self):
+        # dropping the head removes era starts, so for the trimmed era the
+        # only (stNum, 0) record left may be a replayed copy after the anchor
+        for ds in _injected_streams():
+            work = _work(ds)
+            for cut in (1, 2, 5, len(work) // 3, len(work) // 2):
+                self._agree(work[cut:])
+
+    def test_era_start_after_the_anchor_or_missing(self):
+        work = _hand_work([(0, 2, 1), (2_000_000, 2, 2), (4_000_000, 2, 0, Label.REPLAY),
+                           (6_000_000, 2, 3), (8_000_000, 2, 4), (10_000_000, 3, 1)])
+        assert _goose_replay_sites(work) == [(3, 3), (4, 4)]
+        self._agree(work)
+        self._agree(work[:2])
+
+    def test_random_lists(self):
+        rng = random.Random(13)
+        for _ in range(3_000):
+            self._agree(_random_work(rng, rng.randint(0, 30)))
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [(0, 1, 0)],
+        [(0, 1, 0), (4_000, 1, 1)],
+        [(0, 1, 0), (4_000, 1, 1), (_GAP_TRIGGER_US + 1, 1, 2)],
+        [(0, 1, 1), (0, 1, 2), (0, 1, 3)],
+        [(0, 1, 1), (0, 1, 2), (_GAP_TRIGGER_US + 1, 1, 3), (_GAP_TRIGGER_US + 1, 1, 4)],
+    ])
+    def test_tiny_lists_and_equal_timestamps(self, rows):
+        self._agree(_hand_work(rows))
+
+    @pytest.mark.parametrize("offset, sites", [
+        (_GAP_TRIGGER_US, []),          # not more than the trigger after the anchor
+        (_GAP_TRIGGER_US + 1, [(0, 1)]),
+    ])
+    def test_survivor_must_be_strictly_past_the_trigger(self, offset, sites):
+        work = _hand_work([(0, 1, 1), (5_000_000, 1, 2), (offset, 1, 3)])
+        assert _goose_gap_sites(work) == sites
+        self._agree(work)
+
+    def test_inject_and_eval_sets_match_the_reference_search(self, monkeypatch):
+        def build():
+            out = [make_eval_set("GOOSE", anomalies=55, normals=25, seed=seed)
+                   for seed in range(25)]
+            out += list(_injected_streams())
+            return [(ds.records, ds.labels, ds.meta) for ds in out]
+
+        fast = build()
+        monkeypatch.setattr(simulate, "_goose_replay_sites", _oracle_replay_sites)
+        monkeypatch.setattr(simulate, "_goose_gap_sites", _oracle_gap_sites)
+        assert build() == fast
