@@ -25,11 +25,17 @@ _INJECT_CLASSES = {
 
 
 def _parse_duration(text: str) -> int:
-    text = text.strip().lower()
-    for suffix, scale in (("us", 1), ("ms", 1_000), ("s", 1_000_000)):
-        if text.endswith(suffix):
-            return int(float(text[: -len(suffix)]) * scale)
-    return int(text)  # bare integers are microseconds
+    value = text.strip().lower()
+    try:
+        for suffix, scale in (("us", 1), ("ms", 1_000), ("s", 1_000_000)):
+            if value.endswith(suffix):
+                return int(float(value[: -len(suffix)]) * scale)
+        return int(value)  # bare integers are microseconds
+    except (ValueError, OverflowError):
+        raise InvariantViolationError(
+            f"bad duration {text!r}: use a number with us, ms or s, "
+            f"or a bare integer of microseconds"
+        )
 
 
 def _parse_injections(text: str):
@@ -43,7 +49,12 @@ def _parse_injections(text: str):
             raise InvariantViolationError(
                 f"unknown injection class {name!r} (use di, dos, replay, sys)"
             )
-        out.append((_INJECT_CLASSES[name], int(count or "1")))
+        try:
+            out.append((_INJECT_CLASSES[name], int(count or "1")))
+        except ValueError:
+            raise InvariantViolationError(
+                f"injection count {count!r} is not an integer (use class:count, e.g. di:2)"
+            )
     return out
 
 
@@ -276,7 +287,13 @@ def _apply_config(parser: argparse.ArgumentParser, argv: List[str]) -> List[str]
         for action in subparser._actions:
             if action.dest in defaults:
                 value = defaults[action.dest]
-                typed[action.dest] = action.type(value) if action.type else value
+                try:
+                    typed[action.dest] = action.type(value) if action.type else value
+                except ValueError:
+                    raise InvariantViolationError(
+                        f"config value {action.dest} = {value!r} is not a valid "
+                        f"{action.type.__name__}"
+                    )
         subparser.set_defaults(**typed)
     return argv[:i] + argv[i + 2 :]
 

@@ -256,6 +256,15 @@ def _decode_all_data(buf: bytes, off: int, end: int):
     return entries[0], entries[1], offsets[0], offsets[1]
 
 
+# The allData TLV that ends every GOOSE payload, by (data1, data2)
+# truthiness: two one-octet booleans, 8 octets in all.
+_GOOSE_ALL_DATA = {
+    (data1, data2): _encode_tlv(_TAG_ALL_DATA, b"".join(
+        _encode_tlv(_TAG_BOOLEAN, b"\x01" if bit else b"\x00") for bit in (data1, data2)))
+    for data1 in (False, True) for data2 in (False, True)
+}
+
+
 def encode_goose(apdu: GooseApdu, dst_mac: bytes, src_mac: bytes, timestamp: int) -> RawFrame:
     """Build a GOOSE RawFrame; byte-deterministic for identical inputs."""
     apdu.validate()
@@ -266,11 +275,7 @@ def encode_goose(apdu: GooseApdu, dst_mac: bytes, src_mac: bytes, timestamp: int
     inner += _encode_tlv(_TAG_GO_ID, apdu.goID.encode("ascii"))
     inner += _encode_tlv(_TAG_ST_NUM, _encode_uint(apdu.stNum))
     inner += _encode_tlv(_TAG_SQ_NUM, _encode_uint(apdu.sqNum))
-    all_data = b"".join(
-        _encode_tlv(_TAG_BOOLEAN, b"\x01" if bit else b"\x00")
-        for bit in (apdu.data1, apdu.data2)
-    )
-    inner += _encode_tlv(_TAG_ALL_DATA, all_data)
+    inner += _GOOSE_ALL_DATA[bool(apdu.data1), bool(apdu.data2)]
     pdu = _encode_tlv(_TAG_GOOSE_PDU, inner)
     return RawFrame(
         timestamp=timestamp,

@@ -11,6 +11,7 @@ from .frames import (
     ETHERTYPE_GOOSE,
     ETHERTYPE_SV,
     RawFrame,
+    _GOOSE_ALL_DATA,
     _goose_fields,
     _sv_fields,
 )
@@ -228,26 +229,89 @@ def extract_records(frames) -> Tuple[List[GooseRecord], List[SvRecord], SkipRepo
     return goose, sv, report
 
 
+def _mac_bytes(macs: dict, text: str) -> bytes:
+    mac = macs.get(text)
+    if mac is None:
+        mac = macs[text] = mac_to_bytes(text)
+    return mac
+
+
 def dataset_to_frames(dataset: LabeledDataset) -> List[RawFrame]:
-    """Re-encode dataset records as RawFrames (for pcap export)."""
+    """Re-encode dataset records as RawFrames (for pcap export).
+
+    Each frame layout is encoded once per call. The first SV record of a
+    ``(dm, sm, appid, svID)`` goes through ``encode_sv``, and its payload but
+    the last two octets is kept; a later record of that key is that head plus
+    its own ``smpCnt``. The first GOOSE record of a ``(dm, sm, appid, gocbRef,
+    datSet, goID)`` with a given number of stNum and sqNum octets goes through
+    ``encode_goose``, and the octets before its stNum value and the two
+    between the counters are kept; the counter widths fix every enclosing
+    BER length, so a later record of that key is those octets with its own
+    counters spliced in, then the allData tail of its booleans. Only records
+    whose ``appid`` and counters are ``int`` (not ``bool`` or ``float``, which
+    would compare equal to another record's key) in the encoder's range take
+    a kept layout; any other record goes through the encoder, which raises
+    just as it would for that record alone.
+    """
     out = []
     macs = {}
-    for rec in dataset.records:
-        dst = macs.get(rec.dm)
-        if dst is None:
-            dst = macs[rec.dm] = mac_to_bytes(rec.dm)
-        src = macs.get(rec.sm)
-        if src is None:
-            src = macs[rec.sm] = mac_to_bytes(rec.sm)
-        if dataset.protocol == "GOOSE":
-            apdu = _frames.GooseApdu(
-                appid=rec.appid, gocbRef=rec.gocbRef, datSet=rec.datSet, goID=rec.goID,
-                stNum=rec.stNum, sqNum=rec.sqNum, data1=rec.data1, data2=rec.data2,
-            )
-            out.append(_frames.encode_goose(apdu, dst, src, rec.time_us))
-        else:
-            apdu = _frames.SvApdu(appid=rec.appid, svID=rec.svID, smpCnt=rec.smpCnt)
-            out.append(_frames.encode_sv(apdu, dst, src, rec.time_us))
+    templates = {}
+    if dataset.protocol == "GOOSE":
+        for rec in dataset.records:
+            # read in the encoder's order, so a record of the wrong type fails alike
+            dm, sm, appid, gocb_ref, dat_set, go_id, st, sq = (
+                rec.dm, rec.sm, rec.appid, rec.gocbRef, rec.datSet, rec.goID, rec.stNum,
+                rec.sqNum)
+            key = None
+            if (type(appid) is int and type(st) is int and type(sq) is int
+                    and 0 <= appid <= 0xFFFF and 0 <= st <= 0xFFFFFFFF
+                    and 0 <= sq <= 0xFFFFFFFF):
+                st_len = (st.bit_length() + 7) // 8 or 1
+                sq_len = (sq.bit_length() + 7) // 8 or 1
+                key = dm, sm, appid, gocb_ref, dat_set, go_id, st_len, sq_len
+                try:
+                    template = templates.get(key)
+                except TypeError:  # an unhashable field: the encoder reports it
+                    key = template = None
+                if template is not None:
+                    dst, src, head, mid = template
+                    out.append(RawFrame(
+                        rec.time_us, dst, src, ETHERTYPE_GOOSE,
+                        head + st.to_bytes(st_len, "big") + mid + sq.to_bytes(sq_len, "big")
+                        + _GOOSE_ALL_DATA[bool(rec.data1), bool(rec.data2)]))
+                    continue
+            apdu = _frames.GooseApdu(appid, gocb_ref, dat_set, go_id, st, sq,
+                                     rec.data1, rec.data2)
+            frame = _frames.encode_goose(apdu, _mac_bytes(macs, dm), _mac_bytes(macs, sm),
+                                         rec.time_us)
+            if key is not None:
+                # payload: head, stNum, 0x86 and sqNum's length, sqNum, allData
+                sq_at = len(frame.payload) - 8 - sq_len
+                st_at = sq_at - 2 - st_len
+                templates[key] = (frame.dst_mac, frame.src_mac, frame.payload[:st_at],
+                                  frame.payload[st_at + st_len:sq_at])
+            out.append(frame)
+    else:
+        for rec in dataset.records:
+            dm, sm, appid, sv_id, smp_cnt = rec.dm, rec.sm, rec.appid, rec.svID, rec.smpCnt
+            key = None
+            if (type(appid) is int and type(smp_cnt) is int
+                    and 0 <= appid <= 0xFFFF and 0 <= smp_cnt <= 0xFFFF):
+                key = dm, sm, appid, sv_id
+                try:
+                    template = templates.get(key)
+                except TypeError:  # an unhashable field: the encoder reports it
+                    key = template = None
+                if template is not None:
+                    dst, src, head = template
+                    out.append(RawFrame(rec.time_us, dst, src, ETHERTYPE_SV,
+                                        head + smp_cnt.to_bytes(2, "big")))
+                    continue
+            frame = _frames.encode_sv(_frames.SvApdu(appid, sv_id, smp_cnt),
+                                      _mac_bytes(macs, dm), _mac_bytes(macs, sm), rec.time_us)
+            if key is not None:  # payload: head, then smpCnt's two octets
+                templates[key] = frame.dst_mac, frame.src_mac, frame.payload[:-2]
+            out.append(frame)
     return out
 
 

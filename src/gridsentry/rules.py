@@ -6,6 +6,7 @@ destination MACs, control-block/stream identity), and every observed packet
 becomes history whether or not it fired a verdict.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -85,8 +86,9 @@ class TimingConfig:
 
     def validate(self):
         for name, value in self.__dict__.items():
-            if value <= 0:
-                raise InvariantViolationError(f"TimingConfig.{name} must be positive")
+            if not 0 < value < math.inf:  # NaN fails both comparisons
+                raise InvariantViolationError(
+                    f"TimingConfig.{name} must be positive and finite, got {value!r}")
 
     @property
     def sv_min_gap_us(self) -> float:
@@ -429,7 +431,11 @@ def load_ruleset(path) -> RuleSet:
                 except ValueError:
                     raise SchemaError("unknown rule id", line=lineno, field="enabled")
             elif key in TimingConfig.__dataclass_fields__:
-                numeric = float(value)
+                try:
+                    numeric = float(value)
+                except ValueError:
+                    raise SchemaError(f"{key} is not a number: {value!r}",
+                                      line=lineno, field=key)
                 overrides[key] = int(numeric) if numeric.is_integer() and not isinstance(
                     TimingConfig.__dataclass_fields__[key].default, float) else numeric
             else:

@@ -415,12 +415,16 @@ def _sv_sys(work, rng) -> bool:
     return True
 
 
-def _apply(dataset: LabeledDataset, mutator, failure: str, meta_entry: dict) -> LabeledDataset:
+def _apply(dataset: LabeledDataset, mutator, failure: str,
+           meta_entry: Optional[dict]) -> LabeledDataset:
+    """One injection event; ``meta_entry``, if given, is appended to the
+    ``injections`` list of the copy's meta."""
     work = [list(pair) for pair in zip(dataset.records, dataset.labels)]
     if not mutator(work):
         raise InsufficientCarrierError(failure)
     meta = dict(dataset.meta)
-    meta["injections"] = list(meta.get("injections", [])) + [meta_entry]
+    if meta_entry is not None:
+        meta["injections"] = list(meta.get("injections", [])) + [meta_entry]
     out = LabeledDataset(dataset.protocol,
                          [rec for rec, _ in work],
                          [label for _, label in work],
@@ -445,6 +449,7 @@ def inject(dataset: LabeledDataset, klass: Label, count: int, seed: int) -> Labe
         raise UnsupportedInjectionError("no replay rule exists for SV streams")
     dataset.validate()
     rng = random.Random(seed)
+    # one entry per call, carried by the first event
     entry = {"klass": klass.value, "count": count, "seed": seed}
 
     for _ in range(count):
@@ -478,6 +483,7 @@ def inject(dataset: LabeledDataset, klass: Label, count: int, seed: int) -> Labe
             else:
                 raise UnsupportedInjectionError(f"unsupported SV class {klass}")
         dataset = _apply(dataset, mutator, failure, entry)
+        entry = None
     return dataset
 
 

@@ -49,6 +49,28 @@ class TestGen:
                     "--inject", "nope:1", "--out", str(tmp_path / "x.jsonl")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("duration", ["8h", "2m", "ten"])
+    def test_bad_duration_is_error_naming_the_units(self, tmp_path, capsys, duration):
+        assert run(["gen", "--protocol", "sv", "--duration", duration,
+                    "--out", str(tmp_path / "x.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad duration")
+        assert "us, ms or s" in err and "microseconds" in err
+
+    def test_bad_injection_count_is_error(self, tmp_path, capsys):
+        assert run(["gen", "--protocol", "sv", "--duration", "10ms",
+                    "--inject", "di:x", "--out", str(tmp_path / "x.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith("error: injection count 'x'")
+
+    def test_one_injections_entry_per_class(self, tmp_path):
+        out = tmp_path / "g.jsonl"
+        assert run(["gen", "--protocol", "goose", "--duration", "60s", "--events", "2",
+                    "--seed", "5", "--inject", "di:2,replay:2", "--out", str(out)]) == 0
+        assert load_jsonl(str(out)).meta["injections"] == [
+            {"klass": "DATA_INJECTION", "count": 2, "seed": 5},
+            {"klass": "REPLAY", "count": 2, "seed": 5},
+        ]
+
 
 class TestDetect:
     @pytest.fixture
@@ -85,6 +107,21 @@ class TestDetect:
                     "--rules", str(rules_path), "--in", str(dataset_path),
                     "--predictions", str(tmp_path / "p.json")]) == 1
         assert "conflicts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "must be positive and finite"),
+        ("inf", "must be positive and finite"),
+        ("ten", "is not a number"),
+    ])
+    def test_bad_threshold_in_ruleset_file_is_error(self, dataset_path, tmp_path, capsys,
+                                                    value, message):
+        rules_path = tmp_path / "rules.txt"
+        rules_path.write_text(f"level = full\ngoose_heartbeat_max_gap_us = {value}\n")
+        assert run(["detect", "--engine", "rules", "--rules", str(rules_path),
+                    "--in", str(dataset_path), "--predictions", str(tmp_path / "p.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "goose_heartbeat_max_gap_us" in err and message in err
 
     def test_mock_engine_with_fixtures(self, dataset_path, tmp_path):
         ds = load_jsonl(str(dataset_path))
@@ -190,3 +227,10 @@ class TestConfig:
         assert run(["--config", str(cfg), "gen", "--protocol", "sv",
                     "--duration", "20ms", "--out", str(out2)]) == 0
         assert len(load_jsonl(str(out2))) < len(load_jsonl(str(out1)))
+
+    def test_malformed_config_value_is_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = abc\n")
+        assert run(["--config", str(cfg), "gen", "--protocol", "sv",
+                    "--out", str(tmp_path / "a.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith("error: config value seed = 'abc'")

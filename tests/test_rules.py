@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gridsentry.errors import InvariantViolationError, WrongStreamError
+from gridsentry.errors import InvariantViolationError, SchemaError, WrongStreamError
 from gridsentry.records import GooseRecord, Label, LabeledDataset, SvRecord
 from gridsentry.rules import (
     GOOSE_RULES,
@@ -257,6 +257,14 @@ class TestFrozenConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             FULL.thresholds.sv_interval_tolerance_pct = 10.0
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0, -1])
+    def test_timing_config_rejects_non_positive_and_non_finite(self, value):
+        thresholds = TimingConfig(sv_nominal_interval_us=value)
+        with pytest.raises(InvariantViolationError, match="sv_nominal_interval_us"):
+            thresholds.validate()
+        with pytest.raises(InvariantViolationError, match="sv_nominal_interval_us"):
+            RuleSet.for_level(Level.FULL, thresholds)
+
     def test_enabled_is_immutable(self):
         assert isinstance(FULL.enabled, frozenset)
         assert RuleSet(Level.PARTIAL, enabled=set(PARTIAL.enabled)) == PARTIAL
@@ -336,6 +344,20 @@ class TestRulesetFiles:
         assert back.level == rules.level
         assert back.enabled == rules.enabled
         assert back.thresholds == rules.thresholds
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-5"])
+    def test_threshold_must_be_positive_and_finite(self, tmp_path, value):
+        path = tmp_path / "rules.txt"
+        path.write_text(f"level = full\ngoose_heartbeat_max_gap_us = {value}\n")
+        with pytest.raises(InvariantViolationError, match="goose_heartbeat_max_gap_us"):
+            load_ruleset(str(path))
+
+    def test_threshold_that_is_not_a_number(self, tmp_path):
+        path = tmp_path / "rules.txt"
+        path.write_text("level = full\n\nsv_dos_max_packets = ten\n")
+        with pytest.raises(SchemaError) as info:
+            load_ruleset(str(path))
+        assert (info.value.line, info.value.field) == (3, "sv_dos_max_packets")
 
     def test_text_is_key_value(self, tmp_path):
         path = tmp_path / "rules.txt"

@@ -108,6 +108,17 @@ class TestInject:
         b = inject(goose_base(seed=7), Label.DATA_INJECTION, 3, seed=55)
         assert a.records == b.records and a.labels == b.labels
 
+    @pytest.mark.parametrize("protocol", ["GOOSE", "SV"])
+    def test_one_injections_entry_per_call(self, protocol):
+        ds = goose_base() if protocol == "GOOSE" else sv_base()
+        out = inject(ds, Label.DATA_INJECTION, 3, seed=4)
+        out = inject(out, Label.DOS, 2, seed=5)
+        assert out.meta["injections"] == [
+            {"klass": "DATA_INJECTION", "count": 3, "seed": 4},
+            {"klass": "DOS", "count": 2, "seed": 5},
+        ]
+        assert "injections" not in ds.meta
+
     def test_multi_era_carrier(self):
         ds = goose_base(seed=3, events=3)
         out = inject(ds, Label.DATA_INJECTION, 4, seed=3)
