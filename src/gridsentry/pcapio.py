@@ -22,8 +22,9 @@ def read_pcap(file_path) -> List[RawFrame]:
 
     Timestamps are converted to integer microseconds (nanosecond captures
     truncate). One 802.1Q tag is stripped: a tagged frame comes back with its
-    inner ethertype and the payload after the tag. Non-Ethernet link types and
-    unknown magics are rejected.
+    inner ethertype and the payload after the tag. Frames of one call that
+    carry the same MAC address share one ``bytes`` object for it.
+    Non-Ethernet link types and unknown magics are rejected.
     """
     with open(file_path, "rb") as fh:
         header = fh.read(24)
@@ -44,6 +45,7 @@ def read_pcap(file_path) -> List[RawFrame]:
             raise UnsupportedFormatError(f"{file_path}: link type {linktype} is not Ethernet")
 
         frames = []
+        macs = {}
         while True:
             rec = fh.read(16)
             if not rec:
@@ -58,6 +60,8 @@ def read_pcap(file_path) -> List[RawFrame]:
                 raise TruncatedCaptureError("frame shorter than an Ethernet header", len(frames))
             micros = ts_frac // 1000 if nanoseconds else ts_frac
             dst_mac, src_mac, ethertype = _ETHERNET_HEADER.unpack_from(data)
+            dst_mac = macs.setdefault(dst_mac, dst_mac)
+            src_mac = macs.setdefault(src_mac, src_mac)
             if ethertype == ETHERTYPE_VLAN and incl_len >= 18:
                 ethertype = int.from_bytes(data[16:18], "big")
                 payload = data[18:]

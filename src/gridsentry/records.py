@@ -158,9 +158,10 @@ def extract_records(frames) -> Tuple[List[GooseRecord], List[SvRecord], SkipRepo
     # spans, the octets after each span and (appid, gocbRef, datSet, goID);
     # see frames._goose_fields.
     goose_layouts = {}
-    # (src MAC, dst MAC, payload length) -> st_start of the last layout stored
-    # for it. Only a hint: a wrong one costs a full decode, never a wrong
-    # record. The length tells apart most control blocks of one publisher.
+    # (src MAC, dst MAC, payload length) -> the st_start of every layout
+    # stored for it, in the order stored. Only a hint: a wrong one costs a
+    # full decode, never a wrong record. The length tells apart most control
+    # blocks of one publisher; those it does not are tried in turn.
     st_starts = {}
     for i, frame in enumerate(frames):
         ethertype = frame.ethertype
@@ -177,18 +178,18 @@ def extract_records(frames) -> Tuple[List[GooseRecord], List[SvRecord], SkipRepo
                 is_goose = False
             elif ethertype == ETHERTYPE_GOOSE:
                 hint = frame.src_mac, frame.dst_mac, len(payload)
-                st_start = st_starts.get(hint)
                 layout = None
-                if st_start is not None:
+                for st_start in st_starts.get(hint, ()):
                     layout = goose_layouts.get(payload[:st_start])
-                if layout is not None:
-                    (size, st_stop, after_st, sq_start, sq_stop, after_sq, bool1_at,
-                     after_bool1, bool2_at, after_bool2, head) = layout
-                    if not (len(payload) == size
-                            and payload.startswith(after_st, st_stop)
-                            and payload.startswith(after_sq, sq_stop)
-                            and payload.startswith(after_bool1, bool1_at + 1)
-                            and payload.startswith(after_bool2, bool2_at + 1)):
+                    if layout is not None:
+                        (size, st_stop, after_st, sq_start, sq_stop, after_sq, bool1_at,
+                         after_bool1, bool2_at, after_bool2, head) = layout
+                        if (len(payload) == size
+                                and payload.startswith(after_st, st_stop)
+                                and payload.startswith(after_sq, sq_stop)
+                                and payload.startswith(after_bool1, bool1_at + 1)
+                                and payload.startswith(after_bool2, bool2_at + 1)):
+                            break
                         layout = None
                 if layout is not None:
                     appid, gocb_ref, dat_set, go_id = head
@@ -201,7 +202,9 @@ def extract_records(frames) -> Tuple[List[GooseRecord], List[SvRecord], SkipRepo
                      st_start, st_stop, sq_start, sq_stop, bool1_at, bool2_at
                      ) = _goose_fields(payload)
                     if st_stop <= sq_start and sq_stop <= bool1_at < bool2_at:
-                        st_starts[hint] = st_start
+                        known = st_starts.setdefault(hint, [])
+                        if st_start not in known:
+                            known.append(st_start)
                         goose_layouts[payload[:st_start]] = (
                             len(payload), st_stop, payload[st_stop:sq_start], sq_start, sq_stop,
                             payload[sq_stop:bool1_at], bool1_at,

@@ -7,6 +7,7 @@ becomes history whether or not it fired a verdict.
 """
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -162,7 +163,14 @@ class StreamState:
     last_smp_cnt: Optional[int] = None
     last_time_us: Optional[int] = None
     dos_window: deque = field(default_factory=deque)
-    seen: Set[Tuple[int, int, bool, bool]] = field(default_factory=set)
+    # G_RE_1's replay memory. ``seen`` maps (stNum, data1, data2) to the
+    # sorted run bounds [lo0, hi0 + 1, lo1, hi1 + 1, ...] of the integer
+    # sqNums seen with them; runs only grow at the end, so a normal era of
+    # sqNum 0, 1, 2, ... is one run. ``seen_spill`` holds the (stNum, sqNum,
+    # data1, data2) of each other sqNum: one below the last bound that no
+    # run holds, or one that is not an ``int``.
+    seen: Dict[Tuple[int, bool, bool], List[int]] = field(default_factory=dict)
+    seen_spill: Set[Tuple[int, int, bool, bool]] = field(default_factory=set)
 
 
 @dataclass
@@ -206,6 +214,21 @@ def _dos_check(state: StreamState, time_us: int, window_us: int, max_packets: in
     return len(window) > max_packets
 
 
+def _seen_before(state: StreamState, runs: Optional[List[int]], triple) -> bool:
+    """True iff an earlier record of ``state``'s stream carried ``triple``.
+
+    ``runs`` are the run bounds of the triple's (stNum, data1, data2) group.
+    They hold integers only, so a ``float`` sqNum can equal one of them only
+    when it is integral.
+    """
+    sq_num = triple[1]
+    if (runs is not None
+            and (isinstance(sq_num, int) or (isinstance(sq_num, float) and sq_num.is_integer()))
+            and bisect_right(runs, sq_num) % 2 == 1):
+        return True
+    return triple in state.seen_spill
+
+
 def _step_goose(state: StreamState, rec: GooseRecord, rules: RuleSet,
                 index: int) -> List[Verdict]:
     """The GOOSE rules on one record of ``state``'s stream; updates ``state``."""
@@ -214,7 +237,8 @@ def _step_goose(state: StreamState, rec: GooseRecord, rules: RuleSet,
     verdicts: List[Verdict] = []
     st_num, sq_num, time_us = rec.stNum, rec.sqNum, rec.time_us
     data = (rec.data1, rec.data2)
-    triple = (st_num, sq_num, rec.data1, rec.data2)
+    group = (st_num, rec.data1, rec.data2)
+    runs = state.seen.get(group)
 
     if state.last_time_us is not None:
         gap = time_us - state.last_time_us
@@ -242,8 +266,8 @@ def _step_goose(state: StreamState, rec: GooseRecord, rules: RuleSet,
         if st_num < last_st and "G_DI_3" in on:
             verdicts.append(Verdict(index, Label.DATA_INJECTION, RuleId.G_DI_3,
                                     f"stNum decreased {last_st} -> {st_num}"))
-        if ((st_num, sq_num) < (last_st, last_sq) and triple in state.seen
-                and "G_RE_1" in on):
+        if ((st_num, sq_num) < (last_st, last_sq) and "G_RE_1" in on
+                and _seen_before(state, runs, (st_num, sq_num, rec.data1, rec.data2))):
             verdicts.append(Verdict(index, Label.REPLAY, RuleId.G_RE_1,
                                     f"older (stNum={st_num}, sqNum={sq_num}) "
                                     f"resurfaced after ({last_st},"
@@ -255,7 +279,18 @@ def _step_goose(state: StreamState, rec: GooseRecord, rules: RuleSet,
                                 f"more than {cfg.goose_dos_max_packets} packets within "
                                 f"{cfg.goose_dos_window_us} us ending at t={time_us}"))
 
-    state.seen.add(triple)
+    # remember the sqNum; new runs start only past the last bound, so a
+    # descending sqNum costs no insert in the middle of the list
+    if type(sq_num) is not int:
+        state.seen_spill.add((st_num, sq_num, rec.data1, rec.data2))
+    elif runs is None:
+        state.seen[group] = [sq_num, sq_num + 1]
+    elif sq_num == runs[-1]:
+        runs[-1] = sq_num + 1
+    elif sq_num > runs[-1]:
+        runs += (sq_num, sq_num + 1)
+    elif bisect_right(runs, sq_num) % 2 == 0:
+        state.seen_spill.add((st_num, sq_num, rec.data1, rec.data2))
     state.last_st_num = st_num
     state.last_sq_num = sq_num
     state.last_data = data

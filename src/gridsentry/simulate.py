@@ -54,6 +54,9 @@ class ScenarioConfig:
         for _, count in self.injections:
             if count < 0:
                 raise InvariantViolationError("injection counts must be >= 0")
+        if not 0 <= self.jitter_pct < 100:  # NaN fails both comparisons
+            raise InvariantViolationError(
+                f"jitter_pct must be in [0, 100), got {self.jitter_pct!r}")
 
 
 def _goose_record(time_us, st, sq, data1, data2=False):
@@ -415,16 +418,16 @@ def _sv_sys(work, rng) -> bool:
     return True
 
 
-def _apply(dataset: LabeledDataset, mutator, failure: str,
-           meta_entry: Optional[dict]) -> LabeledDataset:
-    """One injection event; ``meta_entry``, if given, is appended to the
-    ``injections`` list of the copy's meta."""
-    work = [list(pair) for pair in zip(dataset.records, dataset.labels)]
-    if not mutator(work):
-        raise InsufficientCarrierError(failure)
+def _work(dataset: LabeledDataset) -> list:
+    """The ``[record, label]`` pairs the mutators edit, apart from ``dataset``."""
+    return [list(pair) for pair in zip(dataset.records, dataset.labels)]
+
+
+def _finish(dataset: LabeledDataset, work, meta_entry: dict) -> LabeledDataset:
+    """The dataset ``work`` holds after injecting into ``dataset``;
+    ``meta_entry`` is appended to the ``injections`` list of its meta."""
     meta = dict(dataset.meta)
-    if meta_entry is not None:
-        meta["injections"] = list(meta.get("injections", [])) + [meta_entry]
+    meta["injections"] = list(meta.get("injections", [])) + [meta_entry]
     out = LabeledDataset(dataset.protocol,
                          [rec for rec, _ in work],
                          [label for _, label in work],
@@ -433,13 +436,23 @@ def _apply(dataset: LabeledDataset, mutator, failure: str,
     return out
 
 
+def _apply(dataset: LabeledDataset, mutator, failure: str,
+           meta_entry: dict) -> LabeledDataset:
+    """One injection event on a copy of ``dataset``."""
+    work = _work(dataset)
+    if not mutator(work):
+        raise InsufficientCarrierError(failure)
+    return _finish(dataset, work, meta_entry)
+
+
 def inject(dataset: LabeledDataset, klass: Label, count: int, seed: int) -> LabeledDataset:
     """Insert/mutate/delete records to host ``count`` injection events.
 
     A DoS event contributes a whole burst of labeled records; other classes
     contribute one. Injections compose. Raises UnsupportedInjectionError for
     REPLAY on SV and InsufficientCarrierError when no collateral-free site
-    remains.
+    remains. All ``count`` events edit one copy of the stream, which is
+    validated once at the end: every mutator keeps the records time-sorted.
     """
     if count < 1:
         raise InvariantViolationError("injection count must be >= 1")
@@ -449,9 +462,7 @@ def inject(dataset: LabeledDataset, klass: Label, count: int, seed: int) -> Labe
         raise UnsupportedInjectionError("no replay rule exists for SV streams")
     dataset.validate()
     rng = random.Random(seed)
-    # one entry per call, carried by the first event
-    entry = {"klass": klass.value, "count": count, "seed": seed}
-
+    work = _work(dataset)
     for _ in range(count):
         if dataset.protocol == "GOOSE":
             if klass == Label.DATA_INJECTION:
@@ -482,9 +493,9 @@ def inject(dataset: LabeledDataset, klass: Label, count: int, seed: int) -> Labe
                 failure = "no feasible SV sample-skip site"
             else:
                 raise UnsupportedInjectionError(f"unsupported SV class {klass}")
-        dataset = _apply(dataset, mutator, failure, entry)
-        entry = None
-    return dataset
+        if not mutator(work):
+            raise InsufficientCarrierError(failure)
+    return _finish(dataset, work, {"klass": klass.value, "count": count, "seed": seed})
 
 
 # ---------------------------------------------------------------------------

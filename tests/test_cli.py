@@ -57,6 +57,15 @@ class TestGen:
         assert err.startswith("error: bad duration")
         assert "us, ms or s" in err and "microseconds" in err
 
+    @pytest.mark.parametrize("protocol", ["sv", "goose"])
+    @pytest.mark.parametrize("jitter", ["nan", "inf", "-50", "-0.001", "100", "150"])
+    def test_jitter_outside_its_range_is_error(self, tmp_path, capsys, protocol, jitter):
+        out = tmp_path / "x.jsonl"
+        assert run(["gen", "--protocol", protocol, "--duration", "1s", "--jitter", jitter,
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: jitter_pct must be in [0, 100)")
+        assert not out.exists()
+
     def test_bad_injection_count_is_error(self, tmp_path, capsys):
         assert run(["gen", "--protocol", "sv", "--duration", "10ms",
                     "--inject", "di:x", "--out", str(tmp_path / "x.jsonl")]) == 1

@@ -333,6 +333,27 @@ class TestGooseLayoutMemo:
         assert [(rec.sqNum, rec.data1, rec.data2) for rec in goose] == [
             (0, True, True), (1, False, True), (2, True, False), (3, False, False)]
 
+    def test_blocks_sharing_macs_and_length_each_decode_once(self, monkeypatch):
+        """Two control blocks of one MAC pair and payload length whose stNum
+        starts at different offsets (TTL before stNum, or after sqNum) keep
+        both hints: alternating frames are decoded in full once per block."""
+        one = _goose_head(b"IED1/LLN0$GO$gcbA", ttl=2000)
+        two = _goose_head(b"IED1/LLN0$GO$gcbB")
+        payloads = [_goose_payload(one + [_uint(0x85, 1), _uint(0x86, sq), _all_data(1, 0)])
+                    if k == 0 else
+                    _goose_payload(two + [_uint(0x85, 1), _uint(0x86, sq), _uint(0x81, 2000),
+                                          _all_data(0, 1)])
+                    for sq in range(10) for k in range(2)]
+        assert len({len(payload) for payload in payloads}) == 1
+        frames = _goose_frames(payloads)
+        full = []
+        fields = records._goose_fields
+        monkeypatch.setattr(records, "_goose_fields", lambda buf: full.append(1) or fields(buf))
+        goose, _, report = extract_records(frames)
+        assert (goose, report) == _per_frame_records(frames)
+        assert [rec.gocbRef for rec in goose[:2]] == ["IED1/LLN0$GO$gcbA", "IED1/LLN0$GO$gcbB"]
+        assert len(full) == 2
+
     def test_repeat_layout_shares_the_strings(self):
         head = _goose_head()
         frames = _goose_frames([_goose_payload(head + [_uint(0x85, 4), _uint(0x86, sq),
