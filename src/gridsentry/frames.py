@@ -165,6 +165,14 @@ def _split_apdu(payload: bytes) -> Tuple[int, int]:
     return appid, length
 
 
+def untag_vlan(payload: bytes) -> Optional[Tuple[int, bytes]]:
+    """The inner ``(ethertype, payload)`` after one 802.1Q tag's two TCI octets,
+    from the payload of a frame with ethertype 0x8100; None if it has none."""
+    if len(payload) < 4:
+        return None
+    return int.from_bytes(payload[2:4], "big"), payload[4:]
+
+
 def _check_ethertype(frame: RawFrame, expected: int):
     if frame.ethertype == ETHERTYPE_VLAN:
         raise UnsupportedShapeError("VLAN-tagged (0x8100) frames are not supported")

@@ -4,7 +4,7 @@ import struct
 from typing import Iterable, List
 
 from .errors import OrderingViolationError, TruncatedCaptureError, UnsupportedFormatError
-from .frames import ETHERTYPE_VLAN, RawFrame
+from .frames import ETHERTYPE_VLAN, RawFrame, untag_vlan
 
 MAGIC_USEC = 0xA1B2C3D4
 MAGIC_USEC_SWAPPED = 0xD4C3B2A1
@@ -62,11 +62,9 @@ def read_pcap(file_path) -> List[RawFrame]:
             dst_mac, src_mac, ethertype = _ETHERNET_HEADER.unpack_from(data)
             dst_mac = macs.setdefault(dst_mac, dst_mac)
             src_mac = macs.setdefault(src_mac, src_mac)
-            if ethertype == ETHERTYPE_VLAN and incl_len >= 18:
-                ethertype = int.from_bytes(data[16:18], "big")
-                payload = data[18:]
-            else:
-                payload = data[14:]
+            payload = data[14:]
+            if ethertype == ETHERTYPE_VLAN and (inner := untag_vlan(payload)) is not None:
+                ethertype, payload = inner
             frames.append(RawFrame(ts_sec * 1_000_000 + micros, dst_mac, src_mac,
                                    ethertype, payload))
 

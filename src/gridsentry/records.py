@@ -10,6 +10,7 @@ from .errors import InvariantViolationError, SchemaError
 from .frames import (
     ETHERTYPE_GOOSE,
     ETHERTYPE_SV,
+    ETHERTYPE_VLAN,
     RawFrame,
     _GOOSE_ALL_DATA,
     _goose_fields,
@@ -138,7 +139,8 @@ def extract_records(frames) -> Tuple[List[GooseRecord], List[SvRecord], SkipRepo
     """Turn decodable GOOSE/SV frames into records, preserving capture order.
 
     Frames with other ethertypes and frames that fail to decode are counted
-    in the skip report, never fatal. Each distinct MAC is rendered once, and
+    in the skip report, never fatal. A frame with ethertype 0x8100 is read as
+    the GOOSE or SV frame inside its one 802.1Q tag. Each distinct MAC is rendered once, and
     records of one address share its string. Each SV frame layout is decoded
     once per call: an SV frame whose last field is ``smpCnt`` stores its
     ``(appid, svID)`` under every octet but the last two, and a later frame
@@ -167,56 +169,65 @@ def extract_records(frames) -> Tuple[List[GooseRecord], List[SvRecord], SkipRepo
         ethertype = frame.ethertype
         payload = frame.payload
         try:
-            if ethertype == ETHERTYPE_SV:
-                if layouts and (layout := layouts.get(payload[:-2])) is not None:
-                    appid, sv_id = layout
-                    smp_cnt = int.from_bytes(payload[-2:], "big")
-                else:
-                    appid, sv_id, smp_cnt, smp_at = _sv_fields(payload)
-                    if smp_at == len(payload) - 2:
-                        layouts[payload[:-2]] = appid, sv_id
-                is_goose = False
-            elif ethertype == ETHERTYPE_GOOSE:
-                hint = frame.src_mac, frame.dst_mac, len(payload)
-                layout = None
-                for st_start in st_starts.get(hint, ()):
-                    layout = goose_layouts.get(payload[:st_start])
+            while True:  # a second pass only for a frame with one 802.1Q tag, untagged
+                if ethertype == ETHERTYPE_SV:
+                    if layouts and (layout := layouts.get(payload[:-2])) is not None:
+                        appid, sv_id = layout
+                        smp_cnt = int.from_bytes(payload[-2:], "big")
+                    else:
+                        appid, sv_id, smp_cnt, smp_at = _sv_fields(payload)
+                        if smp_at == len(payload) - 2:
+                            layouts[payload[:-2]] = appid, sv_id
+                    is_goose = False
+                elif ethertype == ETHERTYPE_GOOSE:
+                    hint = frame.src_mac, frame.dst_mac, len(payload)
+                    layout = None
+                    for st_start in st_starts.get(hint, ()):
+                        layout = goose_layouts.get(payload[:st_start])
+                        if layout is not None:
+                            (size, st_stop, after_st, sq_start, sq_stop, after_sq, bool1_at,
+                             after_bool1, bool2_at, after_bool2, head) = layout
+                            if (len(payload) == size
+                                    and payload.startswith(after_st, st_stop)
+                                    and payload.startswith(after_sq, sq_stop)
+                                    and payload.startswith(after_bool1, bool1_at + 1)
+                                    and payload.startswith(after_bool2, bool2_at + 1)):
+                                break
+                            layout = None
                     if layout is not None:
-                        (size, st_stop, after_st, sq_start, sq_stop, after_sq, bool1_at,
-                         after_bool1, bool2_at, after_bool2, head) = layout
-                        if (len(payload) == size
-                                and payload.startswith(after_st, st_stop)
-                                and payload.startswith(after_sq, sq_stop)
-                                and payload.startswith(after_bool1, bool1_at + 1)
-                                and payload.startswith(after_bool2, bool2_at + 1)):
-                            break
-                        layout = None
-                if layout is not None:
-                    appid, gocb_ref, dat_set, go_id = head
-                    st_num = int.from_bytes(payload[st_start:st_stop], "big")
-                    sq_num = int.from_bytes(payload[sq_start:sq_stop], "big")
-                    data1 = payload[bool1_at] != 0
-                    data2 = payload[bool2_at] != 0
+                        appid, gocb_ref, dat_set, go_id = head
+                        st_num = int.from_bytes(payload[st_start:st_stop], "big")
+                        sq_num = int.from_bytes(payload[sq_start:sq_stop], "big")
+                        data1 = payload[bool1_at] != 0
+                        data2 = payload[bool2_at] != 0
+                    else:
+                        (appid, gocb_ref, dat_set, go_id, st_num, sq_num, data1, data2, _ttl,
+                         st_start, st_stop, sq_start, sq_stop, bool1_at, bool2_at
+                         ) = _goose_fields(payload)
+                        if st_stop <= sq_start and sq_stop <= bool1_at < bool2_at:
+                            known = st_starts.setdefault(hint, [])
+                            if st_start not in known:
+                                known.append(st_start)
+                            goose_layouts[payload[:st_start]] = (
+                                len(payload), st_stop, payload[st_stop:sq_start], sq_start,
+                                sq_stop, payload[sq_stop:bool1_at], bool1_at,
+                                payload[bool1_at + 1:bool2_at], bool2_at,
+                                payload[bool2_at + 1:], (appid, gocb_ref, dat_set, go_id))
+                    is_goose = True
+                elif (ethertype == ETHERTYPE_VLAN
+                      and (inner := _frames.untag_vlan(payload)) is not None
+                      and inner[0] in (ETHERTYPE_SV, ETHERTYPE_GOOSE)):
+                    ethertype, payload = inner
+                    continue
                 else:
-                    (appid, gocb_ref, dat_set, go_id, st_num, sq_num, data1, data2, _ttl,
-                     st_start, st_stop, sq_start, sq_stop, bool1_at, bool2_at
-                     ) = _goose_fields(payload)
-                    if st_stop <= sq_start and sq_stop <= bool1_at < bool2_at:
-                        known = st_starts.setdefault(hint, [])
-                        if st_start not in known:
-                            known.append(st_start)
-                        goose_layouts[payload[:st_start]] = (
-                            len(payload), st_stop, payload[st_stop:sq_start], sq_start, sq_stop,
-                            payload[sq_stop:bool1_at], bool1_at,
-                            payload[bool1_at + 1:bool2_at], bool2_at,
-                            payload[bool2_at + 1:], (appid, gocb_ref, dat_set, go_id))
-                is_goose = True
-            else:
-                report.skipped_ethertype += 1
-                continue
+                    is_goose = None
+                break
         except ToolkitError as exc:
             report.skipped_decode_errors += 1
             report.errors.append(f"frame {i}: {exc}")
+            continue
+        if is_goose is None:
+            report.skipped_ethertype += 1
             continue
         dm = macs.get(frame.dst_mac)
         if dm is None:
@@ -322,13 +333,16 @@ def dataset_to_frames(dataset: LabeledDataset) -> List[RawFrame]:
 # JSONL
 # ---------------------------------------------------------------------------
 
-_GOOSE_FIELDS = [f for f in GooseRecord.__dataclass_fields__]
-_SV_FIELDS = [f for f in SvRecord.__dataclass_fields__]
+# field name -> its declared type, in declaration order; load_jsonl requires
+# exactly that type: an int that is not a bool, a bool, or a non-empty str
+_GOOSE_TYPES = {name: f.type for name, f in GooseRecord.__dataclass_fields__.items()}
+_SV_TYPES = {name: f.type for name, f in SvRecord.__dataclass_fields__.items()}
+_TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a non-empty string"}
 
 
 def save_jsonl(dataset: LabeledDataset, path) -> None:
     dataset.validate()
-    fields = _GOOSE_FIELDS if dataset.protocol == "GOOSE" else _SV_FIELDS
+    fields = _GOOSE_TYPES if dataset.protocol == "GOOSE" else _SV_TYPES
     with open(path, "w", encoding="utf-8") as fh:
         header = {"schema": SCHEMA_ID, "protocol": dataset.protocol, "meta": dataset.meta}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
@@ -339,6 +353,10 @@ def save_jsonl(dataset: LabeledDataset, path) -> None:
 
 
 def load_jsonl(path) -> LabeledDataset:
+    """Read a ``save_jsonl`` file, raising SchemaError with the line and field
+    of the first row that breaks the schema. Every record field must have
+    exactly its declared type: an int that is not a bool, a bool, or a
+    non-empty string."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -353,30 +371,48 @@ def load_jsonl(path) -> LabeledDataset:
     if protocol not in ("GOOSE", "SV"):
         raise SchemaError(f"unknown protocol {protocol!r}", line=1, field="protocol")
     rec_type = GooseRecord if protocol == "GOOSE" else SvRecord
-    fields = _GOOSE_FIELDS if protocol == "GOOSE" else _SV_FIELDS
+    types = _GOOSE_TYPES if protocol == "GOOSE" else _SV_TYPES
 
     records, labels = [], []
+    # (field names, value types) of every row that passed _check_row: a row of
+    # the same shape holding no empty string passes it too, so it is not rerun
+    shapes = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
             row = json.loads(line)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             raise SchemaError("record line is not JSON", line=lineno)
+        if type(row) is not dict:
+            raise SchemaError("record line is not a JSON object", line=lineno)
         try:
             labels.append(Label(row.pop("label")))
         except (KeyError, ValueError):
             raise SchemaError("bad or missing label", line=lineno, field="label")
-        missing = [f for f in fields if f not in row]
-        if missing or set(row) - set(fields):
-            bad = missing[0] if missing else sorted(set(row) - set(fields))[0]
-            raise SchemaError("record fields do not match schema", line=lineno, field=bad)
+        shape = tuple(row), tuple(map(type, row.values()))
+        if shape not in shapes or "" in row.values():
+            _check_row(row, types, lineno)
+            shapes.add(shape)
         records.append(rec_type(**row))
     dataset = LabeledDataset(
         protocol=protocol, records=records, labels=labels, meta=header.get("meta", {})
     )
     dataset.validate()
     return dataset
+
+
+def _check_row(row: dict, types: dict, lineno: int) -> None:
+    """Raise SchemaError unless ``row`` has exactly the fields and types of ``types``."""
+    missing = [name for name in types if name not in row]
+    if missing or len(row) != len(types):
+        bad = missing[0] if missing else sorted(set(row) - set(types))[0]
+        raise SchemaError("record fields do not match schema", line=lineno, field=bad)
+    for name, want in types.items():
+        value = row[name]
+        if type(value) is not want or value == "":
+            raise SchemaError(f"{name} must be {_TYPE_NAMES[want]}, got {value!r}",
+                              line=lineno, field=name)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ false positives).
 """
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional
 
 from .errors import (
     InsufficientCarrierError,
@@ -42,7 +42,6 @@ class ScenarioConfig:
     goose_event_count: int = 0
     sv_rate_hz: int = SV_RATE_HZ_DEFAULT
     jitter_pct: float = 0.0
-    injections: List[Tuple[Label, int]] = field(default_factory=list)
 
     def validate(self):
         if self.protocol not in ("GOOSE", "SV"):
@@ -51,9 +50,6 @@ class ScenarioConfig:
             raise InvariantViolationError("duration_us must be positive")
         if self.sv_rate_hz <= 0 or self.goose_heartbeat_us <= 0:
             raise InvariantViolationError("rates must be positive")
-        for _, count in self.injections:
-            if count < 0:
-                raise InvariantViolationError("injection counts must be >= 0")
         if not 0 <= self.jitter_pct < 100:  # NaN fails both comparisons
             raise InvariantViolationError(
                 f"jitter_pct must be in [0, 100), got {self.jitter_pct!r}")
@@ -418,31 +414,38 @@ def _sv_sys(work, rng) -> bool:
     return True
 
 
-def _work(dataset: LabeledDataset) -> list:
-    """The ``[record, label]`` pairs the mutators edit, apart from ``dataset``."""
-    return [list(pair) for pair in zip(dataset.records, dataset.labels)]
+def _shuffled(*variants):
+    """A mutator that tries ``variants`` in a seeded order until one finds a site."""
+    def mutator(work, rng) -> bool:
+        order = list(variants)
+        rng.shuffle(order)
+        return any(fn(work, rng) for fn in order)
+    return mutator
 
 
-def _finish(dataset: LabeledDataset, work, meta_entry: dict) -> LabeledDataset:
-    """The dataset ``work`` holds after injecting into ``dataset``;
-    ``meta_entry`` is appended to the ``injections`` list of its meta."""
-    meta = dict(dataset.meta)
-    meta["injections"] = list(meta.get("injections", [])) + [meta_entry]
-    out = LabeledDataset(dataset.protocol,
-                         [rec for rec, _ in work],
-                         [label for _, label in work],
-                         meta)
+_goose_di = _shuffled(_goose_di_sq_decrease, _goose_di_st_decrease, _goose_di_data_flip)
+_sv_di = _shuffled(_sv_di_out_of_range, _sv_di_decrease)
+
+
+# (protocol, class) -> (mutator, the InsufficientCarrierError text when it
+# finds no site). Both inject and make_eval_set take their mutators here.
+_MUTATORS = {
+    ("GOOSE", Label.DATA_INJECTION): (_goose_di, "no feasible GOOSE data-injection site"),
+    ("GOOSE", Label.DOS): (_goose_dos, "no quiet pocket for a GOOSE DoS burst"),
+    ("GOOSE", Label.REPLAY): (_goose_replay, "no feasible GOOSE replay site"),
+    ("GOOSE", Label.SYSTEM_PROBLEM): (
+        _goose_sys, "not enough consecutive clean records for a GOOSE gap"),
+    ("SV", Label.DATA_INJECTION): (_sv_di, "no feasible SV data-injection site"),
+    ("SV", Label.DOS): (_sv_dos, "no feasible SV DoS burst segment"),
+    ("SV", Label.SYSTEM_PROBLEM): (_sv_sys, "no feasible SV sample-skip site"),
+}
+
+
+def _dataset(protocol: str, work, meta: dict) -> LabeledDataset:
+    """The validated dataset that the ``[record, label]`` list ``work`` holds."""
+    out = LabeledDataset(protocol, [rec for rec, _ in work], [label for _, label in work], meta)
     out.validate()
     return out
-
-
-def _apply(dataset: LabeledDataset, mutator, failure: str,
-           meta_entry: dict) -> LabeledDataset:
-    """One injection event on a copy of ``dataset``."""
-    work = _work(dataset)
-    if not mutator(work):
-        raise InsufficientCarrierError(failure)
-    return _finish(dataset, work, meta_entry)
 
 
 def inject(dataset: LabeledDataset, klass: Label, count: int, seed: int) -> LabeledDataset:
@@ -451,8 +454,9 @@ def inject(dataset: LabeledDataset, klass: Label, count: int, seed: int) -> Labe
     A DoS event contributes a whole burst of labeled records; other classes
     contribute one. Injections compose. Raises UnsupportedInjectionError for
     REPLAY on SV and InsufficientCarrierError when no collateral-free site
-    remains. All ``count`` events edit one copy of the stream, which is
-    validated once at the end: every mutator keeps the records time-sorted.
+    remains. The mutator comes from the table ``make_eval_set`` uses too.
+    All ``count`` events edit one copy of the stream, which is validated once
+    at the end: every mutator keeps the records time-sorted.
     """
     if count < 1:
         raise InvariantViolationError("injection count must be >= 1")
@@ -461,41 +465,18 @@ def inject(dataset: LabeledDataset, klass: Label, count: int, seed: int) -> Labe
     if klass == Label.REPLAY and dataset.protocol == "SV":
         raise UnsupportedInjectionError("no replay rule exists for SV streams")
     dataset.validate()
+    if (dataset.protocol, klass) not in _MUTATORS:
+        raise UnsupportedInjectionError(f"unsupported {dataset.protocol} class {klass}")
+    mutator, failure = _MUTATORS[dataset.protocol, klass]
     rng = random.Random(seed)
-    work = _work(dataset)
+    work = [list(pair) for pair in zip(dataset.records, dataset.labels)]
     for _ in range(count):
-        if dataset.protocol == "GOOSE":
-            if klass == Label.DATA_INJECTION:
-                variants = [_goose_di_sq_decrease, _goose_di_st_decrease, _goose_di_data_flip]
-                rng.shuffle(variants)
-                mutator = lambda work, v=variants: any(fn(work, rng) for fn in v)
-                failure = "no feasible GOOSE data-injection site"
-            elif klass == Label.DOS:
-                mutator = lambda work: _goose_dos(work, rng)
-                failure = "no quiet pocket for a GOOSE DoS burst"
-            elif klass == Label.REPLAY:
-                mutator = lambda work: _goose_replay(work, rng)
-                failure = "no feasible GOOSE replay site"
-            else:
-                mutator = lambda work: _goose_sys(work, rng)
-                failure = "not enough consecutive clean records for a GOOSE gap"
-        else:
-            if klass == Label.DATA_INJECTION:
-                variants = [_sv_di_out_of_range, _sv_di_decrease]
-                rng.shuffle(variants)
-                mutator = lambda work, v=variants: any(fn(work, rng) for fn in v)
-                failure = "no feasible SV data-injection site"
-            elif klass == Label.DOS:
-                mutator = lambda work: _sv_dos(work, rng)
-                failure = "no feasible SV DoS burst segment"
-            elif klass == Label.SYSTEM_PROBLEM:
-                mutator = lambda work: _sv_sys(work, rng)
-                failure = "no feasible SV sample-skip site"
-            else:
-                raise UnsupportedInjectionError(f"unsupported SV class {klass}")
-        if not mutator(work):
+        if not mutator(work, rng):
             raise InsufficientCarrierError(failure)
-    return _finish(dataset, work, {"klass": klass.value, "count": count, "seed": seed})
+    meta = dict(dataset.meta)
+    meta["injections"] = list(meta.get("injections", [])) + [
+        {"klass": klass.value, "count": count, "seed": seed}]
+    return _dataset(dataset.protocol, work, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +489,26 @@ _DEFAULT_MIX = {
     "SV": {Label.DATA_INJECTION: 0.5, Label.DOS: 0.3, Label.SYSTEM_PROBLEM: 0.2},
 }
 
+# make_eval_set's plan kinds: the class whose mutator each runs. SV data
+# injections are planned as one variant each, so they skip the table.
+_PLAN_CLASSES = {"dos": Label.DOS, "sys": Label.SYSTEM_PROBLEM,
+                 "replay": Label.REPLAY, "di": Label.DATA_INJECTION}
+_SV_DI_VARIANTS = {"sv_oor": _sv_di_out_of_range, "sv_dec": _sv_di_decrease}
+
 
 def make_eval_set(protocol: str, anomalies: int, normals: int,
                   mix: Optional[Dict[Label, float]] = None,
                   seed: int = 0) -> LabeledDataset:
-    """Build a dataset whose label histogram is exactly (anomalies, normals)."""
+    """Build a dataset whose label histogram is exactly (anomalies, normals).
+
+    The carrier is a clean single-era stream (GOOSE at a uniform 2 s cadence,
+    which keeps deletion sites cheap). Seeded events run the mutators of the
+    table ``inject`` uses on one ``[record, label]`` list, whose tail is
+    topped up with clean records when an event consumed normal ones; the
+    result is validated once. A seed with an event that finds no site is
+    refused with InsufficientCarrierError (3 of 20,000 sampled SV 60/20
+    seeds); the benchmark's ``PaperEval.setup`` skips and lists such seeds.
+    """
     if protocol not in ("GOOSE", "SV"):
         raise InvariantViolationError(f"unknown protocol {protocol!r}")
     if anomalies < 0 or normals <= 0:
@@ -521,53 +517,51 @@ def make_eval_set(protocol: str, anomalies: int, normals: int,
     mix = mix or _DEFAULT_MIX[protocol]
     plan = _plan_injections(protocol, anomalies, normals, mix, rng)
 
-    if protocol == "GOOSE":
-        dataset = _goose_carrier(normals, rng.randrange(2**32))
-    else:
-        cfg = ScenarioConfig(protocol="SV", seed=rng.randrange(2**32),
-                             duration_us=(normals + 60) * 209)
-        dataset = _trim_trailing(gen_sv_normal(cfg), normals)
+    cfg = ScenarioConfig(protocol=protocol, seed=rng.randrange(2**32),
+                         duration_us=(2_000_000 * (normals + 2) if protocol == "GOOSE"
+                                      else (normals + 60) * 209))
+    carrier = gen_goose_normal(cfg) if protocol == "GOOSE" else gen_sv_normal(cfg)
+    work = [[rec, Label.NORMAL] for rec in carrier.records[:normals]]
+    meta = dict(carrier.meta)
+    if plan:
+        meta["injections"] = []
 
     # gap deletions go first while long clean spans still exist; each one
     # appends fresh tail records, so later injections only gain sites
     order = {"sys": 0, "dos": 1, "sv_oor": 2, "di": 2, "replay": 2, "sv_dec": 3}
     for kind, size in sorted(plan, key=lambda p: order[p[0]]):
         irng = random.Random(rng.randrange(2**32))
-        entry = {"klass": kind, "seed": seed}
-        if kind == "dos":
-            mut = ((lambda w: _goose_dos(w, irng, size=size)) if protocol == "GOOSE"
-                   else (lambda w: _sv_dos(w, irng, size=size)))
-        elif kind == "sys":
-            mut = ((lambda w: _goose_sys(w, irng, frugal=True)) if protocol == "GOOSE"
-                   else (lambda w: _sv_sys(w, irng)))
-        elif kind == "sv_oor":
-            mut = lambda w: _sv_di_out_of_range(w, irng)
-        elif kind == "sv_dec":
-            mut = lambda w: _sv_di_decrease(w, irng)
-        elif kind == "replay":
-            mut = lambda w: _goose_replay(w, irng)
-        else:  # GOOSE data injection
-            variants = [_goose_di_sq_decrease, _goose_di_st_decrease, _goose_di_data_flip]
-            irng.shuffle(variants)
-            mut = lambda w, v=variants: any(fn(w, irng) for fn in v)
-        before = sum(1 for label in dataset.labels if label == Label.NORMAL)
-        dataset = _apply(dataset, mut, f"no feasible site for {kind}", entry)
-        after = sum(1 for label in dataset.labels if label == Label.NORMAL)
+        if kind in _SV_DI_VARIANTS:
+            found = _SV_DI_VARIANTS[kind](work, irng)
+        else:
+            options = ({"size": size} if kind == "dos" else
+                       {"frugal": True} if kind == "sys" and protocol == "GOOSE" else {})
+            found = _MUTATORS[protocol, _PLAN_CLASSES[kind]][0](work, irng, **options)
+        if not found:
+            raise InsufficientCarrierError(f"no feasible site for {kind}")
+        meta["injections"].append({"klass": kind, "seed": seed})
         # top the pool back up: tail-appended records are always rule-clean
-        if after < before:
-            dataset = _extend_tail(dataset, before - after)
+        for _ in range(normals - sum(label is Label.NORMAL for _, label in work)):
+            tail = work[-1][0]
+            if protocol == "GOOSE":
+                rec = replace(tail, time_us=tail.time_us + 2_000_000, sqNum=tail.sqNum + 1)
+            else:
+                # after an out-of-range tail any in-range value is accepted; the
+                # gap clears the DoS window in case a burst precedes the append
+                nxt = (tail.smpCnt + 1) % 4800 if tail.smpCnt <= 4799 else 0
+                rec = replace(tail, time_us=tail.time_us + 2_200, smpCnt=nxt)
+            work.append([rec, Label.NORMAL])
 
-    got_anom = sum(1 for label in dataset.labels if label != Label.NORMAL)
-    got_norm = len(dataset.labels) - got_anom
+    got_anom = sum(1 for _, label in work if label != Label.NORMAL)
+    got_norm = len(work) - got_anom
     if got_anom != anomalies or got_norm != normals:
         raise InsufficientCarrierError(
             f"composition failed: got {got_anom} anomalies / {got_norm} normals, "
             f"wanted {anomalies} / {normals}"
         )
-    meta = dict(dataset.meta)
     meta["scenario"] = f"{protocol.lower()}-eval-{anomalies}a-{normals}n"
     meta["seed"] = seed
-    return LabeledDataset(dataset.protocol, dataset.records, dataset.labels, meta)
+    return _dataset(protocol, work, meta)
 
 
 def _plan_injections(protocol, anomalies, normals, mix, rng):
@@ -583,7 +577,7 @@ def _plan_injections(protocol, anomalies, normals, mix, rng):
     while remaining > 0:
         klass = rng.choices(classes, weights=weights)[0]
         if klass == Label.DOS:
-            if remaining < burst_min or burst_max < burst_min:
+            if remaining < burst_min:
                 if len(classes) == 1:
                     raise InsufficientCarrierError(
                         f"anomaly budget {remaining} cannot host a DoS burst "
@@ -606,42 +600,3 @@ def _plan_injections(protocol, anomalies, normals, mix, rng):
             plan.append(("di", 1))
             remaining -= 1
     return plan
-
-
-def _extend_tail(dataset, count):
-    """Append ``count`` rule-clean NORMAL records continuing the stream tail."""
-    records = list(dataset.records)
-    labels = list(dataset.labels)
-    for _ in range(count):
-        tail = records[-1]
-        if dataset.protocol == "GOOSE":
-            rec = replace(tail, time_us=tail.time_us + 2_000_000,
-                          sqNum=tail.sqNum + 1)
-        else:
-            # after an out-of-range tail any in-range value is accepted; the
-            # gap clears the DoS window in case a burst precedes the append
-            nxt = (tail.smpCnt + 1) % 4800 if tail.smpCnt <= 4799 else 0
-            rec = replace(tail, time_us=tail.time_us + 2_200, smpCnt=nxt)
-        records.append(rec)
-        labels.append(Label.NORMAL)
-    return LabeledDataset(dataset.protocol, records, labels, dict(dataset.meta))
-
-
-def _goose_carrier(target_records, seed):
-    """Single-era heartbeat carrier trimmed to an exact record count.
-
-    A uniform 2 s cadence keeps every deletion site cheap and predictable;
-    multi-era streams are still available through the generator + injector.
-    """
-    cfg = ScenarioConfig(protocol="GOOSE", seed=seed,
-                         duration_us=2_000_000 * (target_records + 2))
-    return _trim_trailing(gen_goose_normal(cfg), target_records)
-
-
-def _trim_trailing(dataset, target):
-    if len(dataset) < target:
-        raise InsufficientCarrierError(
-            f"carrier has {len(dataset)} records, need {target}"
-        )
-    return LabeledDataset(dataset.protocol, dataset.records[:target],
-                          dataset.labels[:target], dict(dataset.meta))

@@ -152,6 +152,35 @@ class TestDetect:
         assert info.value.code == 2
 
 
+class TestMistypedJsonl:
+    """A JSONL row of the wrong type ends a command with an error: line."""
+
+    @pytest.fixture
+    def goose_path(self, tmp_path):
+        out = tmp_path / "g.jsonl"
+        assert run(["gen", "--protocol", "goose", "--duration", "20s", "--seed", "4",
+                    "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("name, value", [("sqNum", "7"), ("data1", 1), ("dm", {})])
+    @pytest.mark.parametrize("command", [
+        ["detect", "--engine", "rules", "--level", "full", "--predictions", "p.json"],
+        ["pcap", "encode", "--out", "out.pcap"],
+    ])
+    def test_error_names_line_and_field(self, goose_path, tmp_path, capsys, monkeypatch,
+                                        command, name, value):
+        lines = goose_path.read_text().splitlines()
+        row = json.loads(lines[3])
+        row[name] = value
+        lines[3] = json.dumps(row, sort_keys=True)
+        goose_path.write_text("\n".join(lines) + "\n")
+        monkeypatch.chdir(tmp_path)
+        assert run(command + ["--in", str(goose_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be")
+        assert f"(line 4, field {name!r})" in err
+
+
 class TestEval:
     def test_eval_writes_three_formats(self, tmp_path):
         labels = tmp_path / "d.jsonl"

@@ -17,7 +17,7 @@ from gridsentry.frames import (
     encode_sv,
 )
 from gridsentry.pcapio import read_pcap, write_pcap
-from gridsentry.records import extract_records
+from gridsentry.records import SkipReport, extract_records
 
 DST = bytes.fromhex("010ccd010003")
 SRC = bytes.fromhex("000000273431")
@@ -180,6 +180,35 @@ class TestVlanTag:
         assert (goose, sv, report) == extract_records(plain)
         assert len(goose) == len(sv) == 20
         assert report.total == 0
+
+    def test_in_memory_tagged_frames_give_the_untagged_records(self):
+        plain = self._plain()
+        tagged = [_tagged(frame, tci=bytes([0x20 * (i % 8), i % 7])) if i % 3 else frame
+                  for i, frame in enumerate(plain)]
+        goose, sv, report = extract_records(tagged)
+        assert (goose, sv, report) == extract_records(plain)
+        assert len(goose) == len(sv) == 20
+        assert all(rec.ethertype == 0x88B8 for rec in goose)
+        assert all(rec.ethertype == 0x88BA for rec in sv)
+
+    def test_in_memory_tag_decode_errors_match_the_untagged_frame(self):
+        plain = self._plain()
+        plain[3] = RawFrame(plain[3].timestamp, DST, SRC, plain[3].ethertype,
+                            plain[3].payload[:9])
+        tagged = [_tagged(frame) for frame in plain]
+        goose, sv, report = extract_records(tagged)
+        assert (goose, sv, report) == extract_records(plain)
+        assert report.skipped_decode_errors == 1 and report.errors[0].startswith("frame 3: ")
+
+    def test_in_memory_tag_without_a_known_inner_frame_is_skipped(self):
+        goose = _frames(1)[0]
+        frames = [
+            RawFrame(0, DST, SRC, ETHERTYPE_VLAN, b"\x80\x05"),  # no inner ethertype
+            RawFrame(0, DST, SRC, ETHERTYPE_VLAN, b""),
+            _tagged(RawFrame(0, DST, SRC, 0x0800, b"\x45" + bytes(19))),
+            _tagged(_tagged(goose)),  # only one tag is stripped
+        ]
+        assert extract_records(frames) == ([], [], SkipReport(skipped_ethertype=4))
 
     def test_tag_around_a_foreign_ethertype_is_skipped(self, tmp_path):
         ip = RawFrame(0, DST, SRC, 0x0800, b"\x45" + bytes(19))

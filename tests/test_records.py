@@ -413,6 +413,75 @@ class TestJsonl:
         assert info.value.line == 2
         assert info.value.field == "smpCnt"
 
+    @staticmethod
+    def _with_field(ds, tmp_path, row_index, name, value):
+        """Save ``ds`` with field ``name`` of one record line set to ``value``."""
+        path = tmp_path / "x.jsonl"
+        save_jsonl(ds, str(path))
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[1 + row_index])
+        row[name] = value
+        lines[1 + row_index] = json.dumps(row, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("name, value", [
+        ("sqNum", "7"), ("sqNum", True), ("sqNum", 7.0), ("sqNum", None), ("stNum", [1]),
+        ("time_us", False), ("ethertype", "0x88b8"), ("appid", 3.5),
+        ("data1", 1), ("data2", "false"), ("data1", None),
+        ("dm", {}), ("sm", ""), ("datSet", 5), ("goID", ""), ("gocbRef", False),
+    ])
+    def test_mistyped_goose_field_reported(self, tmp_path, name, value):
+        # the bad row comes after good ones of the same shape
+        path = self._with_field(_goose_dataset(), tmp_path, 4, name, value)
+        with pytest.raises(SchemaError) as info:
+            load_jsonl(str(path))
+        assert (info.value.line, info.value.field) == (6, name)
+        assert repr(value) in str(info.value)
+
+    @pytest.mark.parametrize("name, value", [
+        ("smpCnt", "12"), ("smpCnt", True), ("smpCnt", 1e3), ("svID", ""), ("svID", 7),
+        ("appid", None), ("dm", ["01", "0c"]),
+    ])
+    def test_mistyped_sv_field_reported(self, tmp_path, name, value):
+        path = self._with_field(_sv_dataset(), tmp_path, 0, name, value)
+        with pytest.raises(SchemaError) as info:
+            load_jsonl(str(path))
+        assert (info.value.line, info.value.field) == (2, name)
+
+    def test_extra_field_reported(self, tmp_path):
+        path = self._with_field(_sv_dataset(), tmp_path, 3, "ttl", 5)
+        with pytest.raises(SchemaError) as info:
+            load_jsonl(str(path))
+        assert (info.value.line, info.value.field) == (5, "ttl")
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "7", '"text"', "null", "[" * 100_000],
+                             ids=["list", "number", "string", "null", "deep"])
+    def test_record_line_that_is_no_object_reported(self, tmp_path, line):
+        ds = _sv_dataset()
+        path = tmp_path / "x.jsonl"
+        save_jsonl(ds, str(path))
+        lines = path.read_text().splitlines()
+        lines[2] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError) as info:
+            load_jsonl(str(path))
+        assert info.value.line == 3
+
+    def test_rows_in_any_key_order_load(self, tmp_path):
+        ds = inject(_goose_dataset(), Label.REPLAY, 2, seed=3)
+        path = tmp_path / "x.jsonl"
+        save_jsonl(ds, str(path))
+        lines = path.read_text().splitlines()
+        shuffle = random.Random(5).shuffle
+        for k in range(1, len(lines)):
+            items = list(json.loads(lines[k]).items())
+            shuffle(items)
+            lines[k] = json.dumps(dict(items))
+        path.write_text("\n".join(lines) + "\n")
+        back = load_jsonl(str(path))
+        assert (back.records, back.labels) == (ds.records, ds.labels)
+
     def test_malformed_json_line_reported(self, tmp_path):
         ds = _sv_dataset()
         path = tmp_path / "x.jsonl"

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -103,6 +106,12 @@ class TestInject:
         with pytest.raises(UnsupportedInjectionError):
             inject(sv_base(), Label.REPLAY, 1, seed=0)
 
+    @pytest.mark.parametrize("protocol", ["GOOSE", "SV"])
+    def test_unknown_class_unsupported(self, protocol):
+        ds = goose_base() if protocol == "GOOSE" else sv_base()
+        with pytest.raises(UnsupportedInjectionError):
+            inject(ds, "FLOOD", 1, seed=0)
+
     def test_injection_determinism(self):
         a = inject(goose_base(seed=7), Label.DATA_INJECTION, 3, seed=55)
         b = inject(goose_base(seed=7), Label.DATA_INJECTION, 3, seed=55)
@@ -155,6 +164,51 @@ class TestMakeEvalSet:
         a = make_eval_set("SV", anomalies=30, normals=10, seed=77)
         b = make_eval_set("SV", anomalies=30, normals=10, seed=77)
         assert a.records == b.records and a.labels == b.labels
+
+
+def _digest(datasets):
+    """SHA-256 over the records, labels and sorted-JSON meta of ``datasets``."""
+    h = hashlib.sha256()
+    for ds in datasets:
+        h.update(json.dumps([[dataclasses.astuple(rec) for rec in ds.records],
+                             [label.value for label in ds.labels], ds.meta],
+                            sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def _chained_injections():
+    """One GOOSE and one SV stream, each injected with every class it supports."""
+    ds = goose_base(seed=3, events=3, duration_us=180_000_000)
+    for n, klass in enumerate([Label.SYSTEM_PROBLEM, Label.DOS, Label.DATA_INJECTION,
+                               Label.REPLAY]):
+        ds = inject(ds, klass, 2, seed=n)
+    yield ds
+    ds = sv_base(seed=3, duration_us=100_000)
+    for n, klass in enumerate([Label.SYSTEM_PROBLEM, Label.DOS, Label.DATA_INJECTION]):
+        ds = inject(ds, klass, 2, seed=n)
+    yield ds
+
+
+class TestGeneratorPins:
+    """The generator's exact output. Every scenario, eval set and benchmark
+    input follows from it, so a change that alters it on purpose must update
+    these digests on purpose."""
+
+    @pytest.mark.parametrize("protocol, anomalies, normals, digest", [
+        ("GOOSE", 55, 25, "2953494528030f0d5ec6a11d81ba66f3e303e9b86c938b1a9d7de1cc07dc0299"),
+        ("SV", 60, 20, "72a34b069be6e7328d5b5e32d415f8c2ce7e78411d58c48326a20993fe2403fa"),
+    ])
+    def test_eval_sets(self, protocol, anomalies, normals, digest):
+        assert _digest(make_eval_set(protocol, anomalies, normals, seed=seed)
+                       for seed in range(100)) == digest
+
+    def test_chained_injections(self):
+        assert _digest(_chained_injections()) == (
+            "feb81127b9be1281bb2a8bb30e7208c62ea664a296627677313e98925fabb71a")
+
+    def test_refused_seed(self):
+        with pytest.raises(InsufficientCarrierError, match=r"^no feasible site for sys$"):
+            make_eval_set("SV", 60, 20, seed=1742178692)
 
 
 # The quadratic site searches that _goose_replay_sites and _goose_gap_sites
