@@ -4,7 +4,7 @@ import struct
 from typing import Iterable, List
 
 from .errors import OrderingViolationError, TruncatedCaptureError, UnsupportedFormatError
-from .frames import ETHERTYPE_VLAN, RawFrame, untag_vlan
+from .frames import RawFrame
 
 MAGIC_USEC = 0xA1B2C3D4
 MAGIC_USEC_SWAPPED = 0xD4C3B2A1
@@ -21,9 +21,8 @@ def read_pcap(file_path) -> List[RawFrame]:
     """Read every Ethernet frame from a classic pcap file, in file order.
 
     Timestamps are converted to integer microseconds (nanosecond captures
-    truncate). One 802.1Q tag is stripped: a tagged frame comes back with its
-    inner ethertype and the payload after the tag. Frames of one call that
-    carry the same MAC address share one ``bytes`` object for it.
+    truncate). Frames come back as captured, 802.1Q tags included. Frames of
+    one call that carry the same MAC address share one ``bytes`` object for it.
     Non-Ethernet link types and unknown magics are rejected.
     """
     with open(file_path, "rb") as fh:
@@ -62,11 +61,8 @@ def read_pcap(file_path) -> List[RawFrame]:
             dst_mac, src_mac, ethertype = _ETHERNET_HEADER.unpack_from(data)
             dst_mac = macs.setdefault(dst_mac, dst_mac)
             src_mac = macs.setdefault(src_mac, src_mac)
-            payload = data[14:]
-            if ethertype == ETHERTYPE_VLAN and (inner := untag_vlan(payload)) is not None:
-                ethertype, payload = inner
             frames.append(RawFrame(ts_sec * 1_000_000 + micros, dst_mac, src_mac,
-                                   ethertype, payload))
+                                   ethertype, data[14:]))
 
 
 def write_pcap(frames: Iterable[RawFrame], file_path) -> None:

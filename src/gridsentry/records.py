@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Tuple
@@ -15,6 +16,7 @@ from .frames import (
     _GOOSE_ALL_DATA,
     _goose_fields,
     _sv_fields,
+    untag_vlan,
 )
 from . import frames as _frames
 from .errors import ToolkitError
@@ -58,6 +60,13 @@ def wallclock(time_us: int) -> str:
 
 @dataclass(slots=True)
 class GooseRecord:
+    """One GOOSE frame's features. Each field holds exactly its annotated
+    type: an ``int`` that is not a ``bool``, a ``bool``, or a non-empty
+    ``str``. The readers (``extract_records``, ``load_jsonl``, ``import_csv``
+    and the simulator) give only such records; code that builds records
+    itself must too. The rule engine and ``dataset_to_frames`` do not check
+    types."""
+
     time_us: int
     dm: str
     sm: str
@@ -80,6 +89,10 @@ class GooseRecord:
 
 @dataclass(slots=True)
 class SvRecord:
+    """One SV frame's features. Each field holds exactly its annotated type
+    (an ``int`` that is not a ``bool``, or a non-empty ``str``), under the
+    same terms as ``GooseRecord``."""
+
     time_us: int
     dm: str
     sm: str
@@ -139,10 +152,11 @@ def extract_records(frames) -> Tuple[List[GooseRecord], List[SvRecord], SkipRepo
     """Turn decodable GOOSE/SV frames into records, preserving capture order.
 
     Frames with other ethertypes and frames that fail to decode are counted
-    in the skip report, never fatal. A frame with ethertype 0x8100 is read as
-    the GOOSE or SV frame inside its one 802.1Q tag. Each distinct MAC is rendered once, and
-    records of one address share its string. Each SV frame layout is decoded
-    once per call: an SV frame whose last field is ``smpCnt`` stores its
+    in the skip report, never fatal. One 802.1Q tag is stripped here, and only
+    here: a frame with ethertype 0x8100 is read as the frame inside its tag, so
+    a second tag counts as a foreign ethertype. Each distinct MAC is rendered
+    once, and records of one address share its string. Each SV frame layout
+    is decoded once per call: an SV frame whose last field is ``smpCnt`` stores its
     ``(appid, svID)`` under every octet but the last two, and a later frame
     with those same octets takes them and reads only its own ``smpCnt``.
     Each GOOSE frame layout is decoded once per call too: a GOOSE frame whose
@@ -168,66 +182,59 @@ def extract_records(frames) -> Tuple[List[GooseRecord], List[SvRecord], SkipRepo
     for i, frame in enumerate(frames):
         ethertype = frame.ethertype
         payload = frame.payload
+        if ethertype == ETHERTYPE_VLAN and (inner := untag_vlan(payload)) is not None:
+            ethertype, payload = inner
         try:
-            while True:  # a second pass only for a frame with one 802.1Q tag, untagged
-                if ethertype == ETHERTYPE_SV:
-                    if layouts and (layout := layouts.get(payload[:-2])) is not None:
-                        appid, sv_id = layout
-                        smp_cnt = int.from_bytes(payload[-2:], "big")
-                    else:
-                        appid, sv_id, smp_cnt, smp_at = _sv_fields(payload)
-                        if smp_at == len(payload) - 2:
-                            layouts[payload[:-2]] = appid, sv_id
-                    is_goose = False
-                elif ethertype == ETHERTYPE_GOOSE:
-                    hint = frame.src_mac, frame.dst_mac, len(payload)
-                    layout = None
-                    for st_start in st_starts.get(hint, ()):
-                        layout = goose_layouts.get(payload[:st_start])
-                        if layout is not None:
-                            (size, st_stop, after_st, sq_start, sq_stop, after_sq, bool1_at,
-                             after_bool1, bool2_at, after_bool2, head) = layout
-                            if (len(payload) == size
-                                    and payload.startswith(after_st, st_stop)
-                                    and payload.startswith(after_sq, sq_stop)
-                                    and payload.startswith(after_bool1, bool1_at + 1)
-                                    and payload.startswith(after_bool2, bool2_at + 1)):
-                                break
-                            layout = None
-                    if layout is not None:
-                        appid, gocb_ref, dat_set, go_id = head
-                        st_num = int.from_bytes(payload[st_start:st_stop], "big")
-                        sq_num = int.from_bytes(payload[sq_start:sq_stop], "big")
-                        data1 = payload[bool1_at] != 0
-                        data2 = payload[bool2_at] != 0
-                    else:
-                        (appid, gocb_ref, dat_set, go_id, st_num, sq_num, data1, data2, _ttl,
-                         st_start, st_stop, sq_start, sq_stop, bool1_at, bool2_at
-                         ) = _goose_fields(payload)
-                        if st_stop <= sq_start and sq_stop <= bool1_at < bool2_at:
-                            known = st_starts.setdefault(hint, [])
-                            if st_start not in known:
-                                known.append(st_start)
-                            goose_layouts[payload[:st_start]] = (
-                                len(payload), st_stop, payload[st_stop:sq_start], sq_start,
-                                sq_stop, payload[sq_stop:bool1_at], bool1_at,
-                                payload[bool1_at + 1:bool2_at], bool2_at,
-                                payload[bool2_at + 1:], (appid, gocb_ref, dat_set, go_id))
-                    is_goose = True
-                elif (ethertype == ETHERTYPE_VLAN
-                      and (inner := _frames.untag_vlan(payload)) is not None
-                      and inner[0] in (ETHERTYPE_SV, ETHERTYPE_GOOSE)):
-                    ethertype, payload = inner
-                    continue
+            if ethertype == ETHERTYPE_SV:
+                if layouts and (layout := layouts.get(payload[:-2])) is not None:
+                    appid, sv_id = layout
+                    smp_cnt = int.from_bytes(payload[-2:], "big")
                 else:
-                    is_goose = None
-                break
+                    appid, sv_id, smp_cnt, smp_at = _sv_fields(payload)
+                    if smp_at == len(payload) - 2:
+                        layouts[payload[:-2]] = appid, sv_id
+                is_goose = False
+            elif ethertype == ETHERTYPE_GOOSE:
+                hint = frame.src_mac, frame.dst_mac, len(payload)
+                layout = None
+                for st_start in st_starts.get(hint, ()):
+                    layout = goose_layouts.get(payload[:st_start])
+                    if layout is not None:
+                        (size, st_stop, after_st, sq_start, sq_stop, after_sq, bool1_at,
+                         after_bool1, bool2_at, after_bool2, head) = layout
+                        if (len(payload) == size
+                                and payload.startswith(after_st, st_stop)
+                                and payload.startswith(after_sq, sq_stop)
+                                and payload.startswith(after_bool1, bool1_at + 1)
+                                and payload.startswith(after_bool2, bool2_at + 1)):
+                            break
+                        layout = None
+                if layout is not None:
+                    appid, gocb_ref, dat_set, go_id = head
+                    st_num = int.from_bytes(payload[st_start:st_stop], "big")
+                    sq_num = int.from_bytes(payload[sq_start:sq_stop], "big")
+                    data1 = payload[bool1_at] != 0
+                    data2 = payload[bool2_at] != 0
+                else:
+                    (appid, gocb_ref, dat_set, go_id, st_num, sq_num, data1, data2, _ttl,
+                     st_start, st_stop, sq_start, sq_stop, bool1_at, bool2_at
+                     ) = _goose_fields(payload)
+                    if st_stop <= sq_start and sq_stop <= bool1_at < bool2_at:
+                        known = st_starts.setdefault(hint, [])
+                        if st_start not in known:
+                            known.append(st_start)
+                        goose_layouts[payload[:st_start]] = (
+                            len(payload), st_stop, payload[st_stop:sq_start], sq_start,
+                            sq_stop, payload[sq_stop:bool1_at], bool1_at,
+                            payload[bool1_at + 1:bool2_at], bool2_at,
+                            payload[bool2_at + 1:], (appid, gocb_ref, dat_set, go_id))
+                is_goose = True
+            else:
+                report.skipped_ethertype += 1
+                continue
         except ToolkitError as exc:
             report.skipped_decode_errors += 1
             report.errors.append(f"frame {i}: {exc}")
-            continue
-        if is_goose is None:
-            report.skipped_ethertype += 1
             continue
         dm = macs.get(frame.dst_mac)
         if dm is None:
@@ -261,38 +268,30 @@ def dataset_to_frames(dataset: LabeledDataset) -> List[RawFrame]:
     ``encode_goose``, and the octets before its stNum value and the two
     between the counters are kept; the counter widths fix every enclosing
     BER length, so a later record of that key is those octets with its own
-    counters spliced in, then the allData tail of its booleans. Only records
-    whose ``appid`` and counters are ``int`` (not ``bool`` or ``float``, which
-    would compare equal to another record's key) in the encoder's range take
-    a kept layout; any other record goes through the encoder, which raises
-    just as it would for that record alone.
+    counters spliced in, then the allData tail of its booleans. A record
+    whose ``appid`` or counters are out of the encoder's range goes through
+    the encoder, which rejects it.
     """
     out = []
     macs = {}
     templates = {}
     if dataset.protocol == "GOOSE":
         for rec in dataset.records:
-            # read in the encoder's order, so a record of the wrong type fails alike
             dm, sm, appid, gocb_ref, dat_set, go_id, st, sq = (
                 rec.dm, rec.sm, rec.appid, rec.gocbRef, rec.datSet, rec.goID, rec.stNum,
                 rec.sqNum)
             key = None
-            if (type(appid) is int and type(st) is int and type(sq) is int
-                    and 0 <= appid <= 0xFFFF and 0 <= st <= 0xFFFFFFFF
-                    and 0 <= sq <= 0xFFFFFFFF):
+            if 0 <= appid <= 0xFFFF and 0 <= st <= 0xFFFFFFFF and 0 <= sq <= 0xFFFFFFFF:
                 st_len = (st.bit_length() + 7) // 8 or 1
                 sq_len = (sq.bit_length() + 7) // 8 or 1
                 key = dm, sm, appid, gocb_ref, dat_set, go_id, st_len, sq_len
-                try:
-                    template = templates.get(key)
-                except TypeError:  # an unhashable field: the encoder reports it
-                    key = template = None
+                template = templates.get(key)
                 if template is not None:
                     dst, src, head, mid = template
                     out.append(RawFrame(
                         rec.time_us, dst, src, ETHERTYPE_GOOSE,
                         head + st.to_bytes(st_len, "big") + mid + sq.to_bytes(sq_len, "big")
-                        + _GOOSE_ALL_DATA[bool(rec.data1), bool(rec.data2)]))
+                        + _GOOSE_ALL_DATA[rec.data1, rec.data2]))
                     continue
             apdu = _frames.GooseApdu(appid, gocb_ref, dat_set, go_id, st, sq,
                                      rec.data1, rec.data2)
@@ -309,13 +308,9 @@ def dataset_to_frames(dataset: LabeledDataset) -> List[RawFrame]:
         for rec in dataset.records:
             dm, sm, appid, sv_id, smp_cnt = rec.dm, rec.sm, rec.appid, rec.svID, rec.smpCnt
             key = None
-            if (type(appid) is int and type(smp_cnt) is int
-                    and 0 <= appid <= 0xFFFF and 0 <= smp_cnt <= 0xFFFF):
+            if 0 <= appid <= 0xFFFF and 0 <= smp_cnt <= 0xFFFF:
                 key = dm, sm, appid, sv_id
-                try:
-                    template = templates.get(key)
-                except TypeError:  # an unhashable field: the encoder reports it
-                    key = template = None
+                template = templates.get(key)
                 if template is not None:
                     dst, src, head = template
                     out.append(RawFrame(rec.time_us, dst, src, ETHERTYPE_SV,
@@ -363,13 +358,18 @@ def load_jsonl(path) -> LabeledDataset:
         raise SchemaError("empty dataset file", line=1)
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         raise SchemaError("header line is not JSON", line=1)
+    if type(header) is not dict:
+        raise SchemaError("header line is not a JSON object", line=1)
     if header.get("schema") != SCHEMA_ID:
         raise SchemaError(f"unknown schema {header.get('schema')!r}", line=1, field="schema")
     protocol = header.get("protocol")
     if protocol not in ("GOOSE", "SV"):
         raise SchemaError(f"unknown protocol {protocol!r}", line=1, field="protocol")
+    meta = header.get("meta", {})
+    if type(meta) is not dict:
+        raise SchemaError(f"meta must be a JSON object, got {meta!r}", line=1, field="meta")
     rec_type = GooseRecord if protocol == "GOOSE" else SvRecord
     types = _GOOSE_TYPES if protocol == "GOOSE" else _SV_TYPES
 
@@ -395,9 +395,7 @@ def load_jsonl(path) -> LabeledDataset:
             _check_row(row, types, lineno)
             shapes.add(shape)
         records.append(rec_type(**row))
-    dataset = LabeledDataset(
-        protocol=protocol, records=records, labels=labels, meta=header.get("meta", {})
-    )
+    dataset = LabeledDataset(protocol=protocol, records=records, labels=labels, meta=meta)
     dataset.validate()
     return dataset
 
@@ -436,9 +434,28 @@ def export_csv(dataset: LabeledDataset, path) -> None:
             writer.writerow(row)
 
 
+# record field type -> (the pattern a CSV cell must match, its conversion,
+# what the pattern asks for)
+_CSV_CELLS = {
+    int: (re.compile(r"-?[0-9]+"), int, "a base-10 integer"),
+    bool: (re.compile(r"true|false"), lambda cell: cell == "true", "true or false"),
+    str: (re.compile(r".+", re.DOTALL), str, "non-empty"),
+}
+_CSV_HEX = (re.compile(r"[0-9a-fA-F]+"), lambda cell: int(cell, 16), "a hexadecimal integer")
+
+
 def import_csv(path, protocol: str, meta: Optional[dict] = None) -> LabeledDataset:
-    """Inverse of export_csv; used by the CSV round-trip checks."""
+    """Inverse of export_csv, raising SchemaError with the line and column of
+    the first cell that does not read as its record field's type: ``true`` or
+    ``false`` for a boolean, hexadecimal digits for ``type``, base-10 digits
+    after an optional ``-`` for every other number, and non-empty text for
+    the names and MACs."""
     expected = GOOSE_CSV_COLUMNS if protocol == "GOOSE" else SV_CSV_COLUMNS
+    rec_type = GooseRecord if protocol == "GOOSE" else SvRecord
+    types = _GOOSE_TYPES if protocol == "GOOSE" else _SV_TYPES
+    # the columns between "time" and "label" hold the record fields in order
+    cells = [(column, *(_CSV_HEX if column == "type" else _CSV_CELLS[want]))
+             for column, want in zip(expected[1:-1], types.values())]
     records, labels = [], []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -448,24 +465,17 @@ def import_csv(path, protocol: str, meta: Optional[dict] = None) -> LabeledDatas
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(expected):
                 raise SchemaError("wrong column count", line=lineno)
-            vals = dict(zip(expected, row))
             try:
-                labels.append(Label(vals["label"]))
+                labels.append(Label(row[-1]))
             except ValueError:
-                raise SchemaError(f"bad label {vals['label']!r}", line=lineno, field="label")
-            common = dict(
-                time_us=int(vals["time_us"]), dm=vals["dm"], sm=vals["sm"],
-                ethertype=int(vals["type"], 16), appid=int(vals["appid"]),
-            )
-            if protocol == "GOOSE":
-                records.append(GooseRecord(
-                    **common, datSet=vals["datSet"], goID=vals["goID"],
-                    gocbRef=vals["gocbRef"], stNum=int(vals["stNum"]),
-                    sqNum=int(vals["sqNum"]),
-                    data1=vals["data1"] == "true", data2=vals["data2"] == "true",
-                ))
-            else:
-                records.append(SvRecord(**common, svID=vals["svID"], smpCnt=int(vals["smpCnt"])))
+                raise SchemaError(f"bad label {row[-1]!r}", line=lineno, field="label")
+            values = []
+            for (column, pattern, convert, must), cell in zip(cells, row[1:-1]):
+                if pattern.fullmatch(cell) is None:
+                    raise SchemaError(f"{column} must be {must}, got {cell!r}",
+                                      line=lineno, field=column)
+                values.append(convert(cell))
+            records.append(rec_type(*values))
     dataset = LabeledDataset(protocol=protocol, records=records, labels=labels, meta=meta or {})
     dataset.validate()
     return dataset

@@ -167,8 +167,7 @@ class StreamState:
     # sorted run bounds [lo0, hi0 + 1, lo1, hi1 + 1, ...] of the integer
     # sqNums seen with them; runs only grow at the end, so a normal era of
     # sqNum 0, 1, 2, ... is one run. ``seen_spill`` holds the (stNum, sqNum,
-    # data1, data2) of each other sqNum: one below the last bound that no
-    # run holds, or one that is not an ``int``.
+    # data1, data2) of each sqNum below the last bound that no run holds.
     seen: Dict[Tuple[int, bool, bool], List[int]] = field(default_factory=dict)
     seen_spill: Set[Tuple[int, int, bool, bool]] = field(default_factory=set)
 
@@ -218,13 +217,8 @@ def _seen_before(state: StreamState, runs: Optional[List[int]], triple) -> bool:
     """True iff an earlier record of ``state``'s stream carried ``triple``.
 
     ``runs`` are the run bounds of the triple's (stNum, data1, data2) group.
-    They hold integers only, so a ``float`` sqNum can equal one of them only
-    when it is integral.
     """
-    sq_num = triple[1]
-    if (runs is not None
-            and (isinstance(sq_num, int) or (isinstance(sq_num, float) and sq_num.is_integer()))
-            and bisect_right(runs, sq_num) % 2 == 1):
+    if runs is not None and bisect_right(runs, triple[1]) % 2 == 1:
         return True
     return triple in state.seen_spill
 
@@ -281,9 +275,7 @@ def _step_goose(state: StreamState, rec: GooseRecord, rules: RuleSet,
 
     # remember the sqNum; new runs start only past the last bound, so a
     # descending sqNum costs no insert in the middle of the list
-    if type(sq_num) is not int:
-        state.seen_spill.add((st_num, sq_num, rec.data1, rec.data2))
-    elif runs is None:
+    if runs is None:
         state.seen[group] = [sq_num, sq_num + 1]
     elif sq_num == runs[-1]:
         runs[-1] = sq_num + 1

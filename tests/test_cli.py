@@ -153,7 +153,8 @@ class TestDetect:
 
 
 class TestMistypedJsonl:
-    """A JSONL row of the wrong type ends a command with an error: line."""
+    """A JSONL row of the wrong type, or a malformed header, ends a command
+    with an error: line."""
 
     @pytest.fixture
     def goose_path(self, tmp_path):
@@ -179,6 +180,24 @@ class TestMistypedJsonl:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name} must be")
         assert f"(line 4, field {name!r})" in err
+
+    @pytest.mark.parametrize("header, detail", [
+        ([1], "header line is not a JSON object (line 1)"),
+        ({"meta": 5, "protocol": "GOOSE", "schema": "gridsentry/v1"},
+         "meta must be a JSON object, got 5 (line 1, field 'meta')"),
+    ], ids=["list", "meta-number"])
+    @pytest.mark.parametrize("command", [
+        ["detect", "--engine", "rules", "--level", "full", "--predictions", "p.json"],
+        ["pcap", "encode", "--out", "out.pcap"],
+    ])
+    def test_malformed_header_is_error(self, goose_path, tmp_path, capsys, monkeypatch,
+                                       command, header, detail):
+        lines = goose_path.read_text().splitlines()
+        lines[0] = json.dumps(header)
+        goose_path.write_text("\n".join(lines) + "\n")
+        monkeypatch.chdir(tmp_path)
+        assert run(command + ["--in", str(goose_path)]) == 1
+        assert capsys.readouterr().err == f"error: {detail}\n"
 
 
 class TestEval:

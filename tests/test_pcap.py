@@ -175,7 +175,7 @@ class TestVlanTag:
         path = tmp_path / "vlan.pcap"
         write_pcap(tagged, str(path))
         back = read_pcap(str(path))
-        assert back == plain
+        assert back == tagged
         goose, sv, report = extract_records(back)
         assert (goose, sv, report) == extract_records(plain)
         assert len(goose) == len(sv) == 20
@@ -213,10 +213,12 @@ class TestVlanTag:
     def test_tag_around_a_foreign_ethertype_is_skipped(self, tmp_path):
         ip = RawFrame(0, DST, SRC, 0x0800, b"\x45" + bytes(19))
         short = RawFrame(1, DST, SRC, ETHERTYPE_VLAN, b"\x80\x05")  # no inner ethertype
+        double = _tagged(_tagged(_frames(1, start_us=2)[0]))  # only one tag is stripped
+        written = [_tagged(ip), short, double]
         path = tmp_path / "foreign.pcap"
-        write_pcap([_tagged(ip), short], str(path))
+        write_pcap(written, str(path))
         back = read_pcap(str(path))
-        assert back == [ip, short]
+        assert back == written
         goose, sv, report = extract_records(back)
         assert (goose, sv) == ([], [])
-        assert (report.skipped_ethertype, report.skipped_decode_errors) == (2, 0)
+        assert (report.skipped_ethertype, report.skipped_decode_errors) == (3, 0)

@@ -64,6 +64,13 @@ def datasets(draw):
     return LabeledDataset(protocol, recs, labels, {"note": "property"})
 
 
+def _exactly_typed(records):
+    """True iff every field holds exactly its annotated type, the contract
+    that the rule engine and dataset_to_frames rely on (see GooseRecord)."""
+    return all(type(getattr(rec, name)) is f.type
+               for rec in records for name, f in rec.__dataclass_fields__.items())
+
+
 @given(st.binary(max_size=16))
 @PROPERTY
 def test_mac_to_str_is_colon_separated_hex(mac):
@@ -89,6 +96,7 @@ def test_records_survive_pcap_round_trip(tmp_path):
         assert report.total == 0
         assert (goose if dataset.protocol == "GOOSE" else sv) == dataset.records
         assert (sv if dataset.protocol == "GOOSE" else goose) == []
+        assert _exactly_typed(goose + sv)
 
     check()
 
@@ -104,6 +112,7 @@ def test_records_and_labels_survive_jsonl_round_trip(tmp_path):
         back = load_jsonl(path)
         assert back.protocol == dataset.protocol
         assert back.records == dataset.records
+        assert _exactly_typed(back.records)
         assert back.labels == dataset.labels
         assert back.meta == dataset.meta
 
@@ -121,9 +130,14 @@ def test_records_and_labels_survive_csv_round_trip(tmp_path):
         back = import_csv(path, dataset.protocol)
         assert back.protocol == dataset.protocol
         assert back.records == dataset.records
+        assert _exactly_typed(back.records)
         assert back.labels == dataset.labels
 
     check()
+
+
+def test_generated_records_are_exactly_typed(eval_scenarios):
+    assert all(_exactly_typed(dataset.records) for dataset in eval_scenarios)
 
 
 def _per_record_frames(dataset):
@@ -230,16 +244,8 @@ _SV_OK = SvRecord(0, "01:0c:cd:04:00:01", "00:00:00:27:35:01", ETHERTYPE_SV, 0x4
     (_GOOSE_OK, "sqNum", -1),
     (_GOOSE_OK, "sqNum", 1 << 32),
     (_GOOSE_OK, "appid", 1 << 16),
-    (_GOOSE_OK, "appid", 3.0),
-    (_GOOSE_OK, "stNum", 1.0),
-    (_GOOSE_OK, "stNum", True),
-    (_GOOSE_OK, "appid", "3"),
-    (_GOOSE_OK, "gocbRef", ["unhashable"]),
     (_SV_OK, "smpCnt", -1),
     (_SV_OK, "smpCnt", 65_536),
-    (_SV_OK, "appid", 16_384.0),
-    (_SV_OK, "smpCnt", 1.0),
-    (_SV_OK, "smpCnt", True),
     (_SV_OK, "svID", ""),
 ])
 def test_bad_record_after_a_good_one_fails_as_its_encoder_does(good, field, bad):
@@ -250,5 +256,4 @@ def test_bad_record_after_a_good_one_fails_as_its_encoder_does(good, field, bad)
                              [Label.NORMAL] * 2)
     want = _outcome(_per_record_frames, dataset)
     assert _outcome(dataset_to_frames, dataset) == want
-    if not isinstance(bad, bool):
-        assert isinstance(want, tuple)  # the encoder raised
+    assert isinstance(want, tuple)  # the encoder raised

@@ -399,6 +399,21 @@ class TestJsonl:
             load_jsonl(str(path))
         assert info.value.line == 1
 
+    @pytest.mark.parametrize("header, field", [
+        ("[1]", None), ('"text"', None), ("null", None), ("[" * 100_000, None),
+        ('{"meta": 5, "protocol": "SV", "schema": "gridsentry/v1"}', "meta"),
+        ('{"meta": [], "protocol": "SV", "schema": "gridsentry/v1"}', "meta"),
+    ], ids=["list", "string", "null", "deep", "meta-number", "meta-list"])
+    def test_malformed_header_reported(self, tmp_path, header, field):
+        path = tmp_path / "x.jsonl"
+        save_jsonl(_sv_dataset(), str(path))
+        lines = path.read_text().splitlines()
+        lines[0] = header
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError) as info:
+            load_jsonl(str(path))
+        assert (info.value.line, info.value.field) == (1, field)
+
     def test_bad_record_field_reported(self, tmp_path):
         ds = _sv_dataset()
         path = tmp_path / "x.jsonl"
@@ -523,6 +538,27 @@ class TestCsv:
         export_csv(_sv_dataset(), str(path))
         assert path.read_text().splitlines()[0] == (
             "time,time_us,dm,sm,type,appid,svID,smpCnt,label")
+
+    @pytest.mark.parametrize("protocol, column, cell", [
+        ("GOOSE", "data1", "TRUE"), ("GOOSE", "data2", ""), ("GOOSE", "stNum", "x"),
+        ("GOOSE", "sqNum", "1.0"), ("GOOSE", "time_us", ""), ("GOOSE", "type", "zz"),
+        ("GOOSE", "type", "0x88b8"), ("GOOSE", "appid", "0x3"), ("GOOSE", "stNum", "1_0"),
+        ("GOOSE", "dm", ""), ("GOOSE", "gocbRef", ""),
+        ("SV", "smpCnt", "12a"), ("SV", "smpCnt", " 7"), ("SV", "svID", ""), ("SV", "sm", ""),
+    ])
+    def test_bad_cell_reported(self, tmp_path, protocol, column, cell):
+        ds = _goose_dataset() if protocol == "GOOSE" else _sv_dataset()
+        path = tmp_path / "x.csv"
+        export_csv(ds, str(path))
+        lines = path.read_text().splitlines()
+        row = lines[3].split(",")
+        row[lines[0].split(",").index(column)] = cell
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError) as info:
+            import_csv(str(path), protocol)
+        assert (info.value.line, info.value.field) == (4, column)
+        assert repr(cell) in str(info.value)
 
     def test_formatting_conventions(self, tmp_path):
         path = tmp_path / "g.csv"

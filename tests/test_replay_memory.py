@@ -101,7 +101,7 @@ def set_memory_step_goose(state: SetState, rec: GooseRecord, rules: RuleSet,
 # --- streams ----------------------------------------------------------------
 
 _MOVE = st.sampled_from(["retransmit", "retransmit", "event", "replay", "repeat", "back",
-                         "gap", "flip", "older", "float", "bool"])
+                         "gap", "flip", "older"])
 
 
 def _rec(time_us, identity, st_num, sq_num, data1, data2):
@@ -112,7 +112,7 @@ def _rec(time_us, identity, st_num, sq_num, data1, data2):
 @st.composite
 def streams(draw):
     """GOOSE records of one or two control blocks with replays, out-of-order
-    and repeated sqNums, deletion gaps, data flips and a few non-int sqNums."""
+    and repeated sqNums, deletion gaps and data flips."""
     time_us = 0
     history = {}
     recs = []
@@ -124,8 +124,6 @@ def streams(draw):
             counters = (draw(st.integers(0, 3)), draw(st.integers(0, 3)), False, False)
         else:
             st_num, sq_num, data1, data2 = past[-1]
-            if not isinstance(sq_num, int):
-                sq_num = int(sq_num)
             move = draw(_MOVE)
             if move == "retransmit":
                 counters = st_num, sq_num + 1, data1, data2
@@ -141,14 +139,9 @@ def streams(draw):
                 counters = st_num, sq_num + draw(st.integers(2, 5)), data1, data2
             elif move == "flip":
                 counters = st_num, sq_num + 1, data1, not data2
-            elif move == "older":
+            else:  # older
                 old = draw(st.sampled_from(past))
                 counters = old[0], draw(st.integers(0, 8)), old[2], old[3]
-            elif move == "float":
-                counters = (st_num, sq_num + draw(st.sampled_from([-1.0, 0.5, 1.0, 1.5])),
-                            data1, data2)
-            else:
-                counters = st_num, draw(st.booleans()), data1, data2
         recs.append(_rec(time_us, identity, *counters))
         past.append(counters)
     return recs
