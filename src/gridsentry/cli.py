@@ -12,7 +12,7 @@ from typing import List, Optional
 from . import llm as llm_mod
 from . import pcapio, records, rules as rules_mod, simulate
 from .metrics import confusion, metrics as compute_metrics, render_table
-from .errors import ToolkitError, InvariantViolationError
+from .errors import ToolkitError, InvariantViolationError, SchemaError
 from .records import Label, LabeledDataset
 
 _INJECT_CLASSES = {
@@ -158,8 +158,14 @@ def cmd_eval(args) -> int:
                 f"--pred needs name=path, got {spec_text!r}"
             )
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        predictions = [bool(p) for p in payload["predictions"]]
+            try:
+                payload = json.load(fh)
+            except (ValueError, RecursionError):  # not JSON, or not UTF-8
+                payload = None
+        predictions = payload.get("predictions") if type(payload) is dict else None
+        if type(predictions) is not list or any(type(p) is not bool for p in predictions):
+            raise SchemaError(f"predictions file {path} is not a JSON object holding "
+                              f"a list of true/false predictions", field="predictions")
         counts = confusion(dataset.labels, predictions)
         detector = payload.get("detector", name)
         level = payload.get("level", "")

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import rules as rules_mod
 from .errors import InvariantViolationError, ToolkitError
-from .records import GooseRecord, Label, LabeledDataset
+from .records import LabeledDataset
 from .rules import Level, RuleId, RuleSet, TimingConfig
 
 DEFAULT_TOKEN_ENV = "GRIDSENTRY_API_TOKEN"
@@ -137,8 +137,8 @@ def serialize_rules(rules: RuleSet, protocol: str) -> str:
                      for i, r in enumerate(enabled, start=1))
 
 
-def _records_table(records: Sequence, start: int) -> str:
-    if records and isinstance(records[0], GooseRecord):
+def _records_table(records: Sequence, protocol: str) -> str:
+    if protocol == "GOOSE":
         header = ["idx", "time_us", "dm", "sm", "stNum", "sqNum", "data1", "data2"]
         rows = [[str(i), str(r.time_us), r.dm, r.sm, str(r.stNum), str(r.sqNum),
                  str(r.data1).lower(), str(r.data2).lower()]
@@ -167,7 +167,7 @@ def build_prompts(dataset: LabeledDataset, rules: RuleSet,
         bundle = PromptBundle(
             system_text=_SYSTEM_TEXT,
             rules_text=rules_text,
-            records_text=_records_table(chunk, start),
+            records_text=_records_table(chunk, dataset.protocol),
             window=(start, len(chunk)),
         )
         bundle.validate()

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from .errors import InvariantViolationError, SchemaError
+from .errors import InvariantViolationError, SchemaError, WrongStreamError
 from .frames import (
     ETHERTYPE_GOOSE,
     ETHERTYPE_SV,
@@ -65,7 +65,7 @@ class GooseRecord:
     ``str``. The readers (``extract_records``, ``load_jsonl``, ``import_csv``
     and the simulator) give only such records; code that builds records
     itself must too. The rule engine and ``dataset_to_frames`` do not check
-    types."""
+    types. ``LabeledDataset.validate`` checks the ethertype and time."""
 
     time_us: int
     dm: str
@@ -79,12 +79,6 @@ class GooseRecord:
     sqNum: int
     data1: bool
     data2: bool
-
-    def validate(self):
-        if self.ethertype != ETHERTYPE_GOOSE:
-            raise InvariantViolationError(f"GooseRecord.ethertype 0x{self.ethertype:04X}")
-        if self.time_us < 0:
-            raise InvariantViolationError("GooseRecord.time_us negative")
 
 
 @dataclass(slots=True)
@@ -101,11 +95,8 @@ class SvRecord:
     svID: str
     smpCnt: int
 
-    def validate(self):
-        if self.ethertype != ETHERTYPE_SV:
-            raise InvariantViolationError(f"SvRecord.ethertype 0x{self.ethertype:04X}")
-        if self.time_us < 0:
-            raise InvariantViolationError("SvRecord.time_us negative")
+
+_RECORD_TYPES = {"GOOSE": (GooseRecord, ETHERTYPE_GOOSE), "SV": (SvRecord, ETHERTYPE_SV)}
 
 
 @dataclass
@@ -129,15 +120,30 @@ class LabeledDataset:
     meta: dict = field(default_factory=dict)
 
     def validate(self):
+        """Check the contract of every dataset: a known protocol, one label
+        per record, each record of the protocol's class and carrying its
+        ethertype, and times that start at 0 or later and never decrease.
+        Every function that takes a dataset calls this first."""
         if self.protocol not in ("GOOSE", "SV"):
             raise InvariantViolationError(f"unknown protocol {self.protocol!r}")
         if len(self.labels) != len(self.records):
             raise InvariantViolationError(
                 f"{len(self.labels)} labels for {len(self.records)} records"
             )
-        last = None
+        rec_type, ethertype = _RECORD_TYPES[self.protocol]
+        last = 0
         for i, rec in enumerate(self.records):
-            if last is not None and rec.time_us < last:
+            if not isinstance(rec, rec_type):
+                raise WrongStreamError(
+                    f"record {i} is a {type(rec).__name__} in a {self.protocol} dataset")
+            if rec.ethertype != ethertype:
+                raise InvariantViolationError(
+                    f"record {i} has ethertype 0x{rec.ethertype:04X}, "
+                    f"not the {self.protocol} 0x{ethertype:04X}")
+            if rec.time_us < last:
+                if rec.time_us < 0:
+                    raise InvariantViolationError(
+                        f"record {i} has negative time_us {rec.time_us}")
                 raise InvariantViolationError(f"records not time-sorted at index {i}")
             last = rec.time_us
         for label in self.labels:
@@ -272,6 +278,7 @@ def dataset_to_frames(dataset: LabeledDataset) -> List[RawFrame]:
     whose ``appid`` or counters are out of the encoder's range goes through
     the encoder, which rejects it.
     """
+    dataset.validate()
     out = []
     macs = {}
     templates = {}

@@ -46,11 +46,6 @@ GOOSE_RULES = (RuleId.G_DI_1, RuleId.G_DI_2, RuleId.G_DI_3,
 SV_RULES = (RuleId.S_DI_1, RuleId.S_DI_2, RuleId.S_DI_3,
             RuleId.S_DOS_1, RuleId.S_DOS_2, RuleId.S_SYS_1)
 
-_DI_DOS_RULES = frozenset({
-    RuleId.G_DI_1, RuleId.G_DI_2, RuleId.G_DI_3, RuleId.G_DOS_1,
-    RuleId.S_DI_1, RuleId.S_DI_2, RuleId.S_DI_3, RuleId.S_DOS_1, RuleId.S_DOS_2,
-})
-
 _RULE_CLASS = {
     RuleId.G_DI_1: Label.DATA_INJECTION,
     RuleId.G_DI_2: Label.DATA_INJECTION,
@@ -96,40 +91,33 @@ class TimingConfig:
         return self.sv_nominal_interval_us * (1 - self.sv_interval_tolerance_pct / 100)
 
 
-def _enabled_for_level(level: Level) -> FrozenSet[RuleId]:
-    if level == Level.WITHOUT:
-        return frozenset()
-    if level == Level.PARTIAL:
-        return _DI_DOS_RULES
-    return frozenset(RuleId)
+_LEVEL_RULES = {
+    Level.WITHOUT: frozenset(),
+    Level.PARTIAL: frozenset(rule for rule, klass in _RULE_CLASS.items()
+                             if klass in (Label.DATA_INJECTION, Label.DOS)),
+    Level.FULL: frozenset(RuleId),
+}
 
 
 @dataclass(frozen=True)
 class RuleSet:
     """The rules one level enables, with their thresholds, compiled once.
 
-    Frozen, so what ``__post_init__`` derives cannot go stale: ``_on`` holds
-    the enabled rule names as plain strings (a ``str`` set test costs a
-    fraction of reading an enum member) and ``_sv_min_gap_us`` the S_DOS_1
-    floor. The steppers read only these and the thresholds.
+    Frozen, so what ``__post_init__`` derives cannot go stale: ``enabled``
+    holds the level's rules, ``_on`` their names as plain strings (a ``str``
+    set test costs a fraction of reading an enum member) and
+    ``_sv_min_gap_us`` the S_DOS_1 floor. The steppers read only ``_on``,
+    ``_sv_min_gap_us`` and the thresholds.
     """
 
     level: Level
-    enabled: FrozenSet[RuleId] = None
     thresholds: TimingConfig = field(default_factory=TimingConfig)
+    enabled: FrozenSet[RuleId] = field(init=False)
     _on: FrozenSet[str] = field(init=False, repr=False, compare=False)
     _sv_min_gap_us: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        expected = _enabled_for_level(self.level)
-        if self.enabled is None:
-            object.__setattr__(self, "enabled", expected)
-        elif set(self.enabled) != expected:
-            raise InvariantViolationError(
-                f"enabled rules do not match level {self.level.value}"
-            )
-        else:
-            object.__setattr__(self, "enabled", frozenset(self.enabled))
+        object.__setattr__(self, "enabled", _LEVEL_RULES[self.level])
         self.thresholds.validate()
         object.__setattr__(self, "_on", frozenset(rule.value for rule in self.enabled))
         object.__setattr__(self, "_sv_min_gap_us", self.thresholds.sv_min_gap_us)
@@ -365,8 +353,8 @@ def detect_batch(dataset: LabeledDataset, rules: RuleSet) -> List[Verdict]:
     streams are merged in record order. States are keyed by the plain tuple
     ``(protocol, sm, dm, identity)``, equal to ``StreamKey.of(rec)``, so a
     ``StreamKey`` is built once per stream. ``dataset.validate`` guarantees
-    time order, which leaves one protocol test per record of the public
-    steppers' checks.
+    each record's class and the time order, so none of the public steppers'
+    checks is left to run per record.
     """
     dataset.validate()
     if rules.level == Level.WITHOUT:
@@ -380,9 +368,6 @@ def detect_batch(dataset: LabeledDataset, rules: RuleSet) -> List[Verdict]:
     last_index: Dict[tuple, int] = {}
     all_verdicts: List[Verdict] = []
     for i, rec in enumerate(dataset.records):
-        if isinstance(rec, GooseRecord) is not goose:
-            raise WrongStreamError(
-                f"{'SV' if goose else 'GOOSE'} record fed to the {protocol} stepper")
         key = (protocol, rec.sm, rec.dm, identity(rec))
         state = states.get(key)
         if state is None:
@@ -436,6 +421,8 @@ def save_ruleset(rules: RuleSet, path) -> None:
 
 
 def load_ruleset(path) -> RuleSet:
+    """Read a ``save_ruleset`` file. Its ``enabled`` line is optional, and
+    must name exactly the rules of its level when present."""
     level = None
     enabled = None
     overrides = {}
@@ -457,6 +444,7 @@ def load_ruleset(path) -> RuleSet:
                     enabled = {RuleId(v.strip()) for v in value.split(",") if v.strip()}
                 except ValueError:
                     raise SchemaError("unknown rule id", line=lineno, field="enabled")
+                enabled_line = lineno
             elif key in TimingConfig.__dataclass_fields__:
                 try:
                     numeric = float(value)
@@ -469,5 +457,8 @@ def load_ruleset(path) -> RuleSet:
                 raise SchemaError(f"unknown key {key!r}", line=lineno, field=key)
     if level is None:
         raise SchemaError("rule-set file missing 'level'", line=1, field="level")
+    if enabled is not None and enabled != _LEVEL_RULES[level]:
+        raise SchemaError(f"enabled rules do not match level {level.value}",
+                          line=enabled_line, field="enabled")
     thresholds = replace(TimingConfig(), **overrides)
-    return RuleSet(level=level, enabled=enabled, thresholds=thresholds)
+    return RuleSet(level=level, thresholds=thresholds)

@@ -9,7 +9,7 @@ false positives).
 
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import List
 
 from .errors import (
     InsufficientCarrierError,
@@ -25,7 +25,8 @@ SM_DEFAULT = "00:00:00:27:34:31"         # documented low octets, zero OUI (assu
 GOOSE_APPID = 3
 SV_APPID = 0x40
 
-SV_RATE_HZ_DEFAULT = 4800
+SV_RATE_HZ = 4800               # samples per second of every SV stream
+GOOSE_HEARTBEAT_US = 2_000_000  # GOOSE retransmission interval at rest
 _SV_BURST_MIN = 13        # sv_dos_max_packets + 1
 _GOOSE_BURST_MIN = 11     # goose_dos_max_packets + 1
 _SV_BURST_SPACING_US = 80  # below the 104 us floor, so every burst packet fires
@@ -38,9 +39,7 @@ class ScenarioConfig:
     protocol: str
     duration_us: int
     seed: int = 0
-    goose_heartbeat_us: int = 2_000_000
     goose_event_count: int = 0
-    sv_rate_hz: int = SV_RATE_HZ_DEFAULT
     jitter_pct: float = 0.0
 
     def validate(self):
@@ -48,8 +47,6 @@ class ScenarioConfig:
             raise InvariantViolationError(f"unknown protocol {self.protocol!r}")
         if self.duration_us <= 0:
             raise InvariantViolationError("duration_us must be positive")
-        if self.sv_rate_hz <= 0 or self.goose_heartbeat_us <= 0:
-            raise InvariantViolationError("rates must be positive")
         if not 0 <= self.jitter_pct < 100:  # NaN fails both comparisons
             raise InvariantViolationError(
                 f"jitter_pct must be in [0, 100), got {self.jitter_pct!r}")
@@ -77,7 +74,7 @@ def _sample_event_times(rng, cfg) -> List[int]:
     lo = int(0.15 * cfg.duration_us)
     hi = int(0.55 * cfg.duration_us)
     step = (hi - lo) / cfg.goose_event_count
-    if step < 2.5 * cfg.goose_heartbeat_us:
+    if step < 2.5 * GOOSE_HEARTBEAT_US:
         raise InsufficientCarrierError(
             f"{cfg.goose_event_count} events do not fit into {cfg.duration_us} us"
         )
@@ -111,11 +108,11 @@ def gen_goose_normal(cfg: ScenarioConfig) -> LabeledDataset:
         while (t < end) if end is not None else (t <= cfg.duration_us):
             records.append(_goose_record(t, st, sq, data1))
             sq += 1
-            if era > 0 and backoff < cfg.goose_heartbeat_us:
+            if era > 0 and backoff < GOOSE_HEARTBEAT_US:
                 interval = backoff
                 backoff *= 2
             else:
-                interval = cfg.goose_heartbeat_us
+                interval = GOOSE_HEARTBEAT_US
                 if jitter:
                     interval = int(interval * (1 + rng.uniform(-jitter, jitter)))
             t += interval
@@ -125,12 +122,12 @@ def gen_goose_normal(cfg: ScenarioConfig) -> LabeledDataset:
 
 
 def gen_sv_normal(cfg: ScenarioConfig) -> LabeledDataset:
-    """Sampled-value stream at the configured rate; smpCnt wraps 4799 -> 0."""
+    """Sampled-value stream at ``SV_RATE_HZ``; smpCnt wraps 4799 -> 0."""
     cfg.validate()
     if cfg.protocol != "SV":
         raise InvariantViolationError("gen_sv_normal requires protocol SV")
     rng = random.Random(cfg.seed)
-    nominal = 1_000_000 / cfg.sv_rate_hz
+    nominal = 1_000_000 / SV_RATE_HZ
     jitter = cfg.jitter_pct / 100.0
 
     records: List[SvRecord] = []
@@ -149,7 +146,7 @@ def gen_sv_normal(cfg: ScenarioConfig) -> LabeledDataset:
         records.append(_sv_record(time_us, i % 4800))
         i += 1
     meta = {"seed": cfg.seed, "scenario": "sv-normal",
-            "duration_us": cfg.duration_us, "rate_hz": cfg.sv_rate_hz}
+            "duration_us": cfg.duration_us, "rate_hz": SV_RATE_HZ}
     return LabeledDataset("SV", records, [Label.NORMAL] * len(records), meta)
 
 
@@ -497,29 +494,29 @@ _SV_DI_VARIANTS = {"sv_oor": _sv_di_out_of_range, "sv_dec": _sv_di_decrease}
 
 
 def make_eval_set(protocol: str, anomalies: int, normals: int,
-                  mix: Optional[Dict[Label, float]] = None,
                   seed: int = 0) -> LabeledDataset:
     """Build a dataset whose label histogram is exactly (anomalies, normals).
 
-    The carrier is a clean single-era stream (GOOSE at a uniform 2 s cadence,
-    which keeps deletion sites cheap). Seeded events run the mutators of the
-    table ``inject`` uses on one ``[record, label]`` list, whose tail is
-    topped up with clean records when an event consumed normal ones; the
-    result is validated once. A seed with an event that finds no site is
-    refused with InsufficientCarrierError (3 of 20,000 sampled SV 60/20
-    seeds); the benchmark's ``PaperEval.setup`` skips and lists such seeds.
+    The anomaly classes are drawn with the protocol's ``_DEFAULT_MIX``
+    weights. The carrier is a clean single-era stream (GOOSE at the uniform
+    heartbeat, which keeps deletion sites cheap). Seeded events run the
+    mutators of the table ``inject`` uses on one ``[record, label]`` list,
+    whose tail is topped up with clean records when an event consumed
+    normal ones; the result is validated once. A seed with an event that
+    finds no site is refused with InsufficientCarrierError (3 of 20,000
+    sampled SV 60/20 seeds); the benchmark's ``PaperEval.setup`` skips and
+    lists such seeds.
     """
     if protocol not in ("GOOSE", "SV"):
         raise InvariantViolationError(f"unknown protocol {protocol!r}")
     if anomalies < 0 or normals <= 0:
         raise InvariantViolationError("need anomalies >= 0 and normals > 0")
     rng = random.Random(seed)
-    mix = mix or _DEFAULT_MIX[protocol]
-    plan = _plan_injections(protocol, anomalies, normals, mix, rng)
+    plan = _plan_injections(protocol, anomalies, rng)
 
     cfg = ScenarioConfig(protocol=protocol, seed=rng.randrange(2**32),
-                         duration_us=(2_000_000 * (normals + 2) if protocol == "GOOSE"
-                                      else (normals + 60) * 209))
+                         duration_us=(GOOSE_HEARTBEAT_US * (normals + 2)
+                                      if protocol == "GOOSE" else (normals + 60) * 209))
     carrier = gen_goose_normal(cfg) if protocol == "GOOSE" else gen_sv_normal(cfg)
     work = [[rec, Label.NORMAL] for rec in carrier.records[:normals]]
     meta = dict(carrier.meta)
@@ -544,7 +541,8 @@ def make_eval_set(protocol: str, anomalies: int, normals: int,
         for _ in range(normals - sum(label is Label.NORMAL for _, label in work)):
             tail = work[-1][0]
             if protocol == "GOOSE":
-                rec = replace(tail, time_us=tail.time_us + 2_000_000, sqNum=tail.sqNum + 1)
+                rec = replace(tail, time_us=tail.time_us + GOOSE_HEARTBEAT_US,
+                              sqNum=tail.sqNum + 1)
             else:
                 # after an out-of-range tail any in-range value is accepted; the
                 # gap clears the DoS window in case a burst precedes the append
@@ -564,25 +562,20 @@ def make_eval_set(protocol: str, anomalies: int, normals: int,
     return _dataset(protocol, work, meta)
 
 
-def _plan_injections(protocol, anomalies, normals, mix, rng):
-    """Split the anomaly budget into (kind, size) events."""
+def _plan_injections(protocol, anomalies, rng):
+    """Split the anomaly budget into (kind, size) events drawn with the
+    protocol's default mix; a DoS draw too big for the budget left is
+    redrawn, and every mix holds a one-record class."""
     burst_min = _GOOSE_BURST_MIN if protocol == "GOOSE" else _SV_BURST_MIN
     burst_max = burst_min + 7
     plan = []
     remaining = anomalies
-    classes = [k for k in mix if mix[k] > 0]
-    weights = [mix[k] for k in classes]
-    if protocol == "SV" and Label.REPLAY in classes:
-        raise UnsupportedInjectionError("no replay rule exists for SV streams")
+    mix = _DEFAULT_MIX[protocol]
+    classes, weights = list(mix), list(mix.values())
     while remaining > 0:
         klass = rng.choices(classes, weights=weights)[0]
         if klass == Label.DOS:
             if remaining < burst_min:
-                if len(classes) == 1:
-                    raise InsufficientCarrierError(
-                        f"anomaly budget {remaining} cannot host a DoS burst "
-                        f"(carrier of {normals} normals)"
-                    )
                 continue
             size = rng.randint(burst_min, min(burst_max, remaining))
             plan.append(("dos", size))

@@ -181,6 +181,27 @@ class TestMistypedJsonl:
         assert err.startswith(f"error: {name} must be")
         assert f"(line 4, field {name!r})" in err
 
+    @pytest.mark.parametrize("k, name, value, detail", [
+        (1, "time_us", -5, "record 0 has negative time_us -5"),
+        (3, "ethertype", 1, "record 2 has ethertype 0x0001, not the GOOSE 0x88B8"),
+    ], ids=["negative-time", "ethertype"])
+    @pytest.mark.parametrize("command", [
+        ["detect", "--engine", "rules", "--level", "full", "--predictions", "p.json"],
+        ["pcap", "encode", "--out", "out.pcap"],
+    ])
+    def test_row_breaking_the_dataset_contract_is_error(self, goose_path, tmp_path, capsys,
+                                                         monkeypatch, command, k, name,
+                                                         value, detail):
+        lines = goose_path.read_text().splitlines()
+        row = json.loads(lines[k])
+        row[name] = value
+        lines[k] = json.dumps(row, sort_keys=True)
+        goose_path.write_text("\n".join(lines) + "\n")
+        monkeypatch.chdir(tmp_path)
+        assert run(command + ["--in", str(goose_path)]) == 1
+        assert capsys.readouterr().err == f"error: {detail}\n"
+        assert not (tmp_path / command[-1]).exists()
+
     @pytest.mark.parametrize("header, detail", [
         ([1], "header line is not a JSON object (line 1)"),
         ({"meta": 5, "protocol": "GOOSE", "schema": "gridsentry/v1"},
@@ -223,6 +244,22 @@ class TestEval:
         assert run(["eval", "--labels", str(labels), "--pred", "nopath",
                     "--out-prefix", str(tmp_path / "r")]) == 1
         assert "name=path" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("text", [
+        "not json", '{"detector": "rules"}', '{"predictions": 5}',
+        '{"predictions": ["no", 2]}', "[true]",
+    ], ids=["not-json", "no-predictions", "number", "not-booleans", "list"])
+    def test_bad_predictions_file_is_error(self, tmp_path, capsys, text):
+        labels = tmp_path / "d.jsonl"
+        run(["gen", "--protocol", "sv", "--duration", "10ms", "--out", str(labels)])
+        pred = tmp_path / "p.json"
+        pred.write_text(text)
+        assert run(["eval", "--labels", str(labels), "--pred", f"rules={pred}",
+                    "--out-prefix", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: predictions file {pred} ")
+        assert not (tmp_path / "r.md").exists()
 
 
 class TestPcap:

@@ -1,9 +1,15 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
-from gridsentry.errors import InvariantViolationError, SchemaError, ToolkitError
+from gridsentry.errors import (
+    InvariantViolationError,
+    SchemaError,
+    ToolkitError,
+    WrongStreamError,
+)
 from gridsentry import records
 from gridsentry.frames import ETHERTYPE_GOOSE, ETHERTYPE_SV, RawFrame, decode_goose, decode_sv
 from gridsentry.frames import _apdu_header, _encode_tlv as _tlv, _encode_uint
@@ -21,6 +27,8 @@ from gridsentry.records import (
     mac_to_str,
     save_jsonl,
 )
+from gridsentry.llm import ChatClientConfig, build_prompts
+from gridsentry.rules import Level, RuleSet, detect_batch
 from gridsentry.simulate import ScenarioConfig, gen_goose_normal, gen_sv_normal, inject
 
 
@@ -464,6 +472,16 @@ class TestJsonl:
             load_jsonl(str(path))
         assert (info.value.line, info.value.field) == (2, name)
 
+    @pytest.mark.parametrize("k, name, value, message", [
+        (0, "time_us", -5, "record 0 has negative time_us -5"),
+        (4, "ethertype", 1, "record 4 has ethertype 0x0001, not the GOOSE 0x88B8"),
+    ], ids=["negative-time", "ethertype"])
+    def test_row_breaking_the_dataset_contract_refused(self, tmp_path, k, name, value,
+                                                        message):
+        path = self._with_field(_goose_dataset(), tmp_path, k, name, value)
+        with pytest.raises(InvariantViolationError, match=message):
+            load_jsonl(str(path))
+
     def test_extra_field_reported(self, tmp_path):
         path = self._with_field(_sv_dataset(), tmp_path, 3, "ttl", 5)
         with pytest.raises(SchemaError) as info:
@@ -560,6 +578,21 @@ class TestCsv:
         assert (info.value.line, info.value.field) == (4, column)
         assert repr(cell) in str(info.value)
 
+    @pytest.mark.parametrize("column, cell, message", [
+        ("time_us", "-5", "negative time_us -5"),
+        ("type", "0001", "ethertype 0x0001, not the GOOSE 0x88B8"),
+    ], ids=["negative-time", "ethertype"])
+    def test_row_breaking_the_dataset_contract_refused(self, tmp_path, column, cell, message):
+        path = tmp_path / "x.csv"
+        export_csv(_goose_dataset(), str(path))
+        lines = path.read_text().splitlines()
+        row = lines[1].split(",")
+        row[lines[0].split(",").index(column)] = cell
+        lines[1] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvariantViolationError, match=f"record 0 has {message}"):
+            import_csv(str(path), "GOOSE")
+
     def test_formatting_conventions(self, tmp_path):
         path = tmp_path / "g.csv"
         export_csv(_goose_dataset(), str(path))
@@ -581,6 +614,36 @@ class TestDatasetValidate:
         ds.records[0], ds.records[1] = ds.records[1], ds.records[0]
         with pytest.raises(InvariantViolationError):
             ds.validate()
+
+    @pytest.mark.parametrize("protocol", ["GOOSE", "SV"])
+    @pytest.mark.parametrize("breach, error", [
+        ("other-protocol", WrongStreamError),
+        ("ethertype", InvariantViolationError),
+        ("negative-time", InvariantViolationError),
+    ])
+    @pytest.mark.parametrize("consumer", [
+        lambda ds, tmp_path: save_jsonl(ds, str(tmp_path / "x.jsonl")),
+        lambda ds, tmp_path: export_csv(ds, str(tmp_path / "x.csv")),
+        lambda ds, tmp_path: dataset_to_frames(ds),
+        lambda ds, tmp_path: build_prompts(ds, RuleSet.for_level(Level.FULL),
+                                           ChatClientConfig()),
+        lambda ds, tmp_path: detect_batch(ds, RuleSet.for_level(Level.FULL)),
+    ], ids=["save_jsonl", "export_csv", "dataset_to_frames", "build_prompts",
+            "detect_batch"])
+    def test_every_consumer_refuses_a_breach(self, tmp_path, protocol, breach, error,
+                                             consumer):
+        ds = _goose_dataset() if protocol == "GOOSE" else _sv_dataset()
+        if breach == "other-protocol":
+            other = _sv_dataset() if protocol == "GOOSE" else _goose_dataset()
+            ds.records[3] = replace(other.records[0], time_us=ds.records[3].time_us)
+        elif breach == "ethertype":
+            ds.records[3] = replace(ds.records[3], ethertype=0x88B9)
+        else:
+            ds.records[0] = replace(ds.records[0], time_us=-5)
+        with pytest.raises(error) as info:
+            consumer(ds, tmp_path)
+        assert type(info.value) is error
+        assert list(tmp_path.iterdir()) == []  # refused before writing
 
     def test_sv_out_of_range_survives_frame_round_trip(self):
         ds = inject(_sv_dataset(), Label.DATA_INJECTION, 1, seed=0)

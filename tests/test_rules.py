@@ -191,9 +191,12 @@ class TestLevels:
         assert without <= partial <= full
         assert without == set()
 
-    def test_mismatched_enabled_set_rejected(self):
-        with pytest.raises(InvariantViolationError):
-            RuleSet(level=Level.PARTIAL, enabled={RuleId.G_SYS_1})
+    def test_mismatched_enabled_set_rejected(self, tmp_path):
+        path = tmp_path / "rules.txt"
+        path.write_text("level = partial\nenabled = G_SYS_1\n")
+        with pytest.raises(SchemaError, match="do not match level partial") as info:
+            load_ruleset(str(path))
+        assert (info.value.line, info.value.field) == (2, "enabled")
 
     def test_rule_tables(self):
         assert len(GOOSE_RULES) == 6 and len(SV_RULES) == 6
@@ -241,7 +244,7 @@ class TestBatch:
     def test_batch_rejects_other_protocol_record(self, protocol):
         own, foreign = (g(0, 1, 0), s(100, 1)) if protocol == "GOOSE" else (s(0, 1), g(100, 1, 0))
         ds = LabeledDataset(protocol, [own, foreign], [Label.NORMAL] * 2)
-        with pytest.raises(WrongStreamError, match=f"fed to the {protocol} stepper"):
+        with pytest.raises(WrongStreamError, match=f"record 1 is a .* in a {protocol} dataset"):
             detect_batch(ds, FULL)
 
 
@@ -267,7 +270,8 @@ class TestFrozenConfig:
 
     def test_enabled_is_immutable(self):
         assert isinstance(FULL.enabled, frozenset)
-        assert RuleSet(Level.PARTIAL, enabled=set(PARTIAL.enabled)) == PARTIAL
+        with pytest.raises(TypeError):  # derived from the level, never passed
+            RuleSet(Level.PARTIAL, enabled=set(PARTIAL.enabled))
 
 
 def brute_force_window_flags(timestamps, window_us, max_packets):

@@ -142,9 +142,8 @@ class TestMakeEvalSet:
         assert sum(1 for l in ds.labels if l != Label.NORMAL) == 55
 
     def test_mix_respected(self):
-        mix = {Label.DATA_INJECTION: 0.5, Label.DOS: 0.3, Label.SYSTEM_PROBLEM: 0.2}
-        ds = make_eval_set("SV", anomalies=60, normals=20, mix=mix, seed=5)
-        counts = {k: 0 for k in mix}
+        ds = make_eval_set("SV", anomalies=60, normals=20, seed=5)
+        counts = {k: 0 for k in (Label.DATA_INJECTION, Label.DOS, Label.SYSTEM_PROBLEM)}
         for label in ds.labels:
             if label != Label.NORMAL:
                 counts[label] += 1
