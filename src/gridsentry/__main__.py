@@ -1,0 +1,5 @@
+"""``python -m gridsentry``: the ``gridsentry`` command line."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -166,6 +166,9 @@ def cmd_eval(args) -> int:
         if type(predictions) is not list or any(type(p) is not bool for p in predictions):
             raise SchemaError(f"predictions file {path} is not a JSON object holding "
                               f"a list of true/false predictions", field="predictions")
+        for key in ("detector", "level"):
+            if type(payload.get(key, "")) is not str:
+                raise SchemaError(f"predictions file {path}: {key} is not a string", field=key)
         counts = confusion(dataset.labels, predictions)
         detector = payload.get("detector", name)
         level = payload.get("level", "")
@@ -314,7 +317,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,14 +9,16 @@ engine internally.
 
 import json
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 from decimal import MAX_PREC, Context, Decimal
+from string import Formatter
 from typing import List, Optional, Sequence, Tuple
 
 from . import rules as rules_mod
 from .errors import InvariantViolationError, ToolkitError
 from .records import LabeledDataset
-from .rules import Level, RuleId, RuleSet, TimingConfig
+from .rules import RuleSet, TimingConfig
 
 DEFAULT_TOKEN_ENV = "GRIDSENTRY_API_TOKEN"
 
@@ -27,31 +29,6 @@ _SYSTEM_TEXT = (
     '{"anomalies": [<indices of anomalous rows>]} and nothing else. '
     "If every row looks normal, reply {\"anomalies\": []}."
 )
-
-# Rule sentences; the {names} are thresholds, filled in by _threshold_words.
-_RULE_TEXT = {
-    RuleId.G_DI_1: ('If data has the same "DM" and "SM," "sqNum" should be '
-                    "increased every time."),
-    RuleId.G_DI_2: ('If there is any change in "data1" or "data2," "stNum" '
-                    'should be increased by 1 and "sqNum" should be reset to 0.'),
-    RuleId.G_DI_3: ('If data has the same "DM" and "SM," once "stNum" is '
-                    "increased, it cannot go back to smaller numbers."),
-    RuleId.G_DOS_1: ("There are up to {goose_dos_max_packets} packets (rows) within "
-                     "{goose_dos_window_ms} ms."),
-    RuleId.G_SYS_1: "There should be a packet (dataset) within {goose_heartbeat_max_gap_s} s.",
-    RuleId.G_RE_1: ('If there is any change in "data1" or "data2," "stNum" '
-                    'should be increased 1 and "sqNum" should be reset to 0; '
-                    "a previously seen combination must not reappear."),
-    RuleId.S_DI_1: 'The range of "smpCnt" is from 0 to 4799.',
-    RuleId.S_DI_2: ('Once the "smpCnt" is increased, it should be increased '
-                    "up to 4799 and then reset to 0."),
-    RuleId.S_DI_3: ('"smpCnt" cannot be decreased until it reaches 4799 and '
-                    "resets to 0."),
-    RuleId.S_DOS_1: ("A normal time interval should be around {sv_nominal_interval_us} "
-                     "microseconds."),
-    RuleId.S_DOS_2: "There are up to {sv_dos_max_packets} packets within {sv_dos_window_ms} ms.",
-    RuleId.S_SYS_1: '"smpCnt" should be increased every time by 1.',
-}
 
 
 @dataclass
@@ -102,39 +79,57 @@ class DetectorResponse:
     warnings: List[str] = field(default_factory=list)
 
 
-def _decimal(value, shift: int = 0, places: int = 0) -> str:
-    """``value / 10**shift`` with ``places`` decimals, trailing zeros stripped
-    (``:g`` would round to six significant digits). The shift is exact
-    decimal arithmetic on the value's shortest repr, so no binary
-    floating-point noise digits appear."""
-    exact = Decimal(repr(value)).scaleb(-shift, Context(prec=MAX_PREC))
-    text = f"{exact:.{places}f}"
-    return text.rstrip("0").rstrip(".") if "." in text else text
+_UNIT_SHIFT = {"": 0, "ms": 3, "s": 6}  # {field:unit} shows the field / 10**shift
+_BRACKETED = re.compile(r"\[.*?\]")
+_DEFAULTS = TimingConfig()
 
 
-def _threshold_words(t: TimingConfig) -> dict:
-    return {
-        "goose_dos_max_packets": t.goose_dos_max_packets,
-        "goose_dos_window_ms": _decimal(t.goose_dos_window_us, 3, 3),
-        "goose_heartbeat_max_gap_s": _decimal(t.goose_heartbeat_max_gap_us, 6, 6),
-        "sv_nominal_interval_us": _decimal(t.sv_nominal_interval_us),
-        "sv_dos_max_packets": t.sv_dos_max_packets,
-        "sv_dos_window_ms": _decimal(t.sv_dos_window_us, 3, 3),
-    }
+def _fill(sentence: str, thresholds: TimingConfig, rounded: bool = False) -> str:
+    """``sentence`` with each threshold in its placeholder's unit, exact or
+    rounded to the field's whole units, trailing zeros stripped (``:g`` would
+    round to six significant digits). The unit change is exact decimal
+    arithmetic on the value's shortest repr, so no floating-point noise digits
+    appear."""
+    words = []
+    for literal, name, unit, _ in Formatter().parse(sentence):
+        words.append(literal)
+        if name is not None:
+            shift = _UNIT_SHIFT[unit]
+            value = Decimal(repr(getattr(thresholds, name)))
+            value = value.scaleb(-shift, Context(prec=MAX_PREC))
+            text = f"{value:.{shift}f}" if rounded else f"{value:f}"
+            words.append(text.rstrip("0").rstrip(".") if "." in text else text)
+    return "".join(words)
+
+
+_DEFAULT_TEXT = {row.rule: _fill(_BRACKETED.sub("", row.sentence), _DEFAULTS, rounded=True)
+                 for row in rules_mod.RULES}
 
 
 def serialize_rules(rules: RuleSet, protocol: str) -> str:
     """Render the enabled rules for one protocol as numbered sentences that
-    state the rule set's own thresholds."""
+    state the rule set's own thresholds. At its default thresholds a rule
+    reads as its default text. Otherwise every value is stated exactly, with
+    the bracketed part when that holds a changed threshold or the rest would
+    read as the default text, so a sentence changes with every threshold its
+    rule reads."""
     if protocol not in ("GOOSE", "SV"):
         raise InvariantViolationError(f"unknown protocol {protocol!r}")
-    if rules.level == Level.WITHOUT:
-        return ""
-    order = rules_mod.GOOSE_RULES if protocol == "GOOSE" else rules_mod.SV_RULES
-    enabled = [r for r in order if r in rules.enabled]
-    words = _threshold_words(rules.thresholds)
-    return "\n".join(f"{i}. {_RULE_TEXT[r].format(**words)}"
-                     for i, r in enumerate(enabled, start=1))
+    thresholds = rules.thresholds
+    lines = []
+    for row in rules_mod.RULES:
+        if row.protocol != protocol or row.rule not in rules.enabled:
+            continue
+        text = _DEFAULT_TEXT[row.rule]
+        changed = {name for name in row.reads
+                   if getattr(thresholds, name) != getattr(_DEFAULTS, name)}
+        if changed:
+            short = replace(row, sentence=_BRACKETED.sub("", row.sentence))
+            default, text = text, _fill(short.sentence, thresholds)
+            if text == default or changed - short.reads:
+                text = _fill(row.sentence.replace("[", "").replace("]", ""), thresholds)
+        lines.append(f"{len(lines) + 1}. {text}")
+    return "\n".join(lines)
 
 
 def _records_table(records: Sequence, protocol: str) -> str:

@@ -1,9 +1,10 @@
 """Deterministic per-stream rule engine for GOOSE and SV anomaly detection.
 
-Each rule id maps to one expert recommendation; a training level gates which
-rules are active. State is confined to one stream key (protocol, source and
-destination MACs, control-block/stream identity), and every observed packet
-becomes history whether or not it fired a verdict.
+Each rule maps to one expert recommendation, defined by its row in
+``RULES``; a training level gates which rules are active. State is confined
+to one stream key (protocol, source and destination MACs, control-block/stream
+identity), and every observed packet becomes history whether or not it fired
+a verdict.
 """
 
 import math
@@ -12,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import attrgetter
+from string import Formatter
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import (
@@ -27,41 +29,18 @@ _SMP_CNT_MAX = SMP_CNT_MODULUS - 1
 
 
 class RuleId(str, Enum):
-    G_DI_1 = "G_DI_1"   # sqNum must increase on retransmission
-    G_DI_2 = "G_DI_2"   # data change requires stNum+1 and sqNum=0
-    G_DI_3 = "G_DI_3"   # stNum never decreases
-    G_DOS_1 = "G_DOS_1"  # >10 packets in 10 ms
-    G_SYS_1 = "G_SYS_1"  # silence longer than 10 s
-    G_RE_1 = "G_RE_1"   # resurfacing of an older (stNum, sqNum, data) triple
-    S_DI_1 = "S_DI_1"   # smpCnt outside 0..4799
-    S_DI_2 = "S_DI_2"   # reset to 0 from a value other than 4799
-    S_DI_3 = "S_DI_3"   # non-wrap decrease
-    S_DOS_1 = "S_DOS_1"  # inter-arrival far below nominal
-    S_DOS_2 = "S_DOS_2"  # >12 packets in 2.083 ms
-    S_SYS_1 = "S_SYS_1"  # step other than the cyclic +1
-
-
-GOOSE_RULES = (RuleId.G_DI_1, RuleId.G_DI_2, RuleId.G_DI_3,
-               RuleId.G_DOS_1, RuleId.G_SYS_1, RuleId.G_RE_1)
-SV_RULES = (RuleId.S_DI_1, RuleId.S_DI_2, RuleId.S_DI_3,
-            RuleId.S_DOS_1, RuleId.S_DOS_2, RuleId.S_SYS_1)
-
-_RULE_CLASS = {
-    RuleId.G_DI_1: Label.DATA_INJECTION,
-    RuleId.G_DI_2: Label.DATA_INJECTION,
-    RuleId.G_DI_3: Label.DATA_INJECTION,
-    RuleId.G_DOS_1: Label.DOS,
-    RuleId.G_SYS_1: Label.SYSTEM_PROBLEM,
-    RuleId.G_RE_1: Label.REPLAY,
-    RuleId.S_DI_1: Label.DATA_INJECTION,
-    RuleId.S_DI_2: Label.DATA_INJECTION,
-    RuleId.S_DI_3: Label.DATA_INJECTION,
-    RuleId.S_DOS_1: Label.DOS,
-    RuleId.S_DOS_2: Label.DOS,
-    RuleId.S_SYS_1: Label.SYSTEM_PROBLEM,
-}
-
-_RULE_ORDER = {rule: i for i, rule in enumerate(RuleId)}
+    G_DI_1 = "G_DI_1"
+    G_DI_2 = "G_DI_2"
+    G_DI_3 = "G_DI_3"
+    G_DOS_1 = "G_DOS_1"
+    G_SYS_1 = "G_SYS_1"
+    G_RE_1 = "G_RE_1"
+    S_DI_1 = "S_DI_1"
+    S_DI_2 = "S_DI_2"
+    S_DI_3 = "S_DI_3"
+    S_DOS_1 = "S_DOS_1"
+    S_DOS_2 = "S_DOS_2"
+    S_SYS_1 = "S_SYS_1"
 
 
 class Level(str, Enum):
@@ -91,11 +70,61 @@ class TimingConfig:
         return self.sv_nominal_interval_us * (1 - self.sv_interval_tolerance_pct / 100)
 
 
+@dataclass(frozen=True)
+class Rule:
+    """A row of ``RULES``. ``sentence`` is the rule in the LLM prompt. Each
+    ``{field}`` in it names a ``TimingConfig`` threshold the rule reads, and
+    ``reads`` lists them; ``{field:ms}`` and ``{field:s}`` show a µs field in
+    ms or s. A part in [brackets] is stated only off the defaults."""
+
+    rule: RuleId
+    protocol: str
+    klass: Label
+    sentence: str
+    reads: FrozenSet[str] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "reads", frozenset(
+            name for _, name, _, _ in Formatter().parse(self.sentence) if name))
+
+
+RULES = (  # in verdict order: the verdicts on one record sort by their rule's row
+    Rule(RuleId.G_DI_1, "GOOSE", Label.DATA_INJECTION, 'If data has the same "DM" and'
+         ' "SM," "sqNum" should be increased every time.'),
+    Rule(RuleId.G_DI_2, "GOOSE", Label.DATA_INJECTION, 'If there is any change in "data1"'
+         ' or "data2," "stNum" should be increased by 1 and "sqNum" should be reset to 0.'),
+    Rule(RuleId.G_DI_3, "GOOSE", Label.DATA_INJECTION, 'If data has the same "DM" and'
+         ' "SM," once "stNum" is increased, it cannot go back to smaller numbers.'),
+    Rule(RuleId.G_DOS_1, "GOOSE", Label.DOS, "There are up to {goose_dos_max_packets}"
+         " packets (rows) within {goose_dos_window_us:ms} ms."),
+    Rule(RuleId.G_SYS_1, "GOOSE", Label.SYSTEM_PROBLEM, "There should be a packet"
+         " (dataset) within {goose_heartbeat_max_gap_us:s} s."),
+    Rule(RuleId.G_RE_1, "GOOSE", Label.REPLAY, 'If there is any change in "data1" or'
+         ' "data2," "stNum" should be increased 1 and "sqNum" should be reset to 0; a'
+         " previously seen combination must not reappear."),
+    Rule(RuleId.S_DI_1, "SV", Label.DATA_INJECTION,
+         f'The range of "smpCnt" is from 0 to {_SMP_CNT_MAX}.'),
+    Rule(RuleId.S_DI_2, "SV", Label.DATA_INJECTION, 'Once the "smpCnt" is increased, it'
+         f" should be increased up to {_SMP_CNT_MAX} and then reset to 0."),
+    Rule(RuleId.S_DI_3, "SV", Label.DATA_INJECTION,
+         f'"smpCnt" cannot be decreased until it reaches {_SMP_CNT_MAX} and resets to 0.'),
+    Rule(RuleId.S_DOS_1, "SV", Label.DOS, "A normal time interval should be around"
+         " {sv_nominal_interval_us} microseconds[, and an interval more than"
+         " {sv_interval_tolerance_pct}% shorter is anomalous]."),
+    Rule(RuleId.S_DOS_2, "SV", Label.DOS,
+         "There are up to {sv_dos_max_packets} packets within {sv_dos_window_us:ms} ms."),
+    Rule(RuleId.S_SYS_1, "SV", Label.SYSTEM_PROBLEM,
+         '"smpCnt" should be increased every time by 1.'),
+)
+
+GOOSE_RULES = tuple(row.rule for row in RULES if row.protocol == "GOOSE")
+SV_RULES = tuple(row.rule for row in RULES if row.protocol == "SV")
+_RANK = {row.rule: i for i, row in enumerate(RULES)}
 _LEVEL_RULES = {
     Level.WITHOUT: frozenset(),
-    Level.PARTIAL: frozenset(rule for rule, klass in _RULE_CLASS.items()
-                             if klass in (Label.DATA_INJECTION, Label.DOS)),
-    Level.FULL: frozenset(RuleId),
+    Level.PARTIAL: frozenset(row.rule for row in RULES
+                             if row.klass in (Label.DATA_INJECTION, Label.DOS)),
+    Level.FULL: frozenset(row.rule for row in RULES),
 }
 
 
@@ -168,7 +197,7 @@ class Verdict:
     explanation: str
 
     def sort_key(self):
-        return (self.record_index, _RULE_ORDER[self.rule])
+        return (self.record_index, _RANK[self.rule])
 
 
 def is_cyclic_successor(a: int, b: int, modulus: int = SMP_CNT_MODULUS) -> bool:
@@ -402,7 +431,7 @@ def verdicts_to_predictions(verdicts: List[Verdict], n_records: int) -> List[boo
 
 
 def rule_class(rule: RuleId) -> Label:
-    return _RULE_CLASS[rule]
+    return RULES[_RANK[rule]].klass
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -261,6 +265,24 @@ class TestEval:
         assert err.startswith(f"error: predictions file {pred} ")
         assert not (tmp_path / "r.md").exists()
 
+    @pytest.mark.parametrize("key, value, name", [
+        ("level", {"a": 1}, "rules"), ("detector", [1], ""),
+    ], ids=["level", "detector-without-name"])
+    def test_predictions_field_that_is_no_string_is_error(self, tmp_path, capsys,
+                                                           key, value, name):
+        labels = tmp_path / "d.jsonl"
+        run(["gen", "--protocol", "sv", "--duration", "10ms", "--out", str(labels)])
+        pred = tmp_path / "p.json"
+        run(["detect", "--engine", "rules", "--in", str(labels), "--predictions", str(pred)])
+        payload = json.loads(pred.read_text())
+        payload[key] = value
+        pred.write_text(json.dumps(payload))
+        assert run(["eval", "--labels", str(labels), "--pred", f"{name}={pred}",
+                    "--out-prefix", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: predictions file {pred}: {key} is not a string\n"
+        assert not (tmp_path / "r.md").exists()
+
 
 class TestPcap:
     def test_decode_encode_round_trip(self, tmp_path):
@@ -328,3 +350,16 @@ class TestConfig:
         assert run(["--config", str(cfg), "gen", "--protocol", "sv",
                     "--out", str(tmp_path / "a.jsonl")]) == 1
         assert capsys.readouterr().err.startswith("error: config value seed = 'abc'")
+
+
+def test_smoke_script_passes(tmp_path):
+    """The CI smoke step's script, run through ``python -m gridsentry``."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])),
+        PATH=os.pathsep.join([os.path.dirname(sys.executable), os.environ["PATH"]]))
+    done = subprocess.run(["bash", str(root / "scripts" / "smoke.sh"),
+                           sys.executable, "-m", "gridsentry"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.endswith("smoke test passed\n")
