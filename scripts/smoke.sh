@@ -31,6 +31,33 @@ for spec in "goose 60s 2 dos:1,di:2,replay:2,sys:1" \
   "$@" pcap encode --in "$out/$protocol-decoded.jsonl" \
     --out "$out/$protocol-again.pcap"
   cmp "$out/$protocol.pcap" "$out/$protocol-again.pcap"
+  if [ "$protocol $duration" = "goose 60s" ]; then
+    # the LLM adapter over canned replies, {"anomalies": []} for each window
+    # of 20 records: one transcript line per window, and the first prompt
+    # names the file's gocbRef as a JSON string
+    mkdir -p "$out/replies"
+    windows=$(python - "$out" <<'PY'
+import sys
+out = sys.argv[1]
+count = sum(1 for _ in open(f"{out}/goose.jsonl")) - 1  # less the header line
+windows = -(-count // 20)
+for window in range(windows):
+    open(f"{out}/replies/window_{window}.txt", "w").write('{"anomalies": []}')
+print(windows)
+PY
+)
+    "$@" detect --engine mock --level full --in "$out/goose.jsonl" \
+      --fixtures "$out/replies" --transcript "$out/transcript.jsonl" \
+      --predictions "$out/goose-mock.json"
+    python - "$out" "$windows" <<'PY'
+import json, sys
+out, windows = sys.argv[1], int(sys.argv[2])
+lines = open(f"{out}/transcript.jsonl").read().splitlines()
+assert len(lines) == windows, (len(lines), windows)
+gocb_ref = json.loads(open(f"{out}/goose.jsonl").readlines()[1])["gocbRef"]
+assert json.dumps(gocb_ref) in json.loads(lines[0])["user"], gocb_ref
+PY
+  fi
 done
 # a JSONL row with a mistyped field, a header line that is no JSON object, a
 # negative time or a foreign ethertype, a predictions file that is not JSON

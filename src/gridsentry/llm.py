@@ -1,10 +1,10 @@
 """Rules-to-text adapter for chat-completion anomaly detection.
 
-The rule set is rendered as numbered English sentences, record windows are
-rendered as fixed-width tables, and the reply is parsed back into per-record
-predictions. Clients are pluggable: a real HTTP(S) endpoint reached through
-``urllib``, a directory of canned reply files, or a mock that runs the rule
-engine internally.
+The rule set is rendered as numbered English sentences, each record window
+as a legend of its streams and a table of its records, and the reply is
+parsed back into per-record predictions. Clients are pluggable: a real
+HTTP(S) endpoint reached through ``urllib``, a directory of canned reply
+files, or a mock that runs the rule engine internally.
 """
 
 import json
@@ -53,7 +53,8 @@ class ChatClientConfig:
 class PromptBundle:
     system_text: str
     rules_text: str
-    records_text: str
+    streams_text: str  # header + one row per stream the window holds
+    records_text: str  # header + one row per record
     window: Tuple[int, int]  # (start_index, length)
 
     def validate(self):
@@ -67,6 +68,7 @@ class PromptBundle:
         parts = []
         if self.rules_text:
             parts.append("Known traffic rules:\n" + self.rules_text)
+        parts.append("Streams:\n" + self.streams_text)
         parts.append("Packet records:\n" + self.records_text)
         parts.append('Reply with {"anomalies": [indices]}.')
         return "\n\n".join(parts)
@@ -132,22 +134,43 @@ def serialize_rules(rules: RuleSet, protocol: str) -> str:
     return "\n".join(lines)
 
 
-def _records_table(records: Sequence, protocol: str) -> str:
-    if protocol == "GOOSE":
-        header = ["idx", "time_us", "dm", "sm", "stNum", "sqNum", "data1", "data2"]
-        rows = [[str(i), str(r.time_us), r.dm, r.sm, str(r.stNum), str(r.sqNum),
-                 str(r.data1).lower(), str(r.data2).lower()]
-                for i, r in enumerate(records)]
-    else:
-        header = ["idx", "time_us", "dm", "sm", "smpCnt"]
-        rows = [[str(i), str(r.time_us), r.dm, r.sm, str(r.smpCnt)]
-                for i, r in enumerate(records)]
-    widths = [max(len(header[c]), *(len(row[c]) for row in rows)) if rows
-              else len(header[c]) for c in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    return "\n".join(lines)
+def _table(header: List[str], rows: List[List[str]]) -> str:
+    """Left-aligned columns two spaces apart; the last column is not padded,
+    so no line ends in whitespace."""
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return "\n".join("".join(v.ljust(w + 2) for v, w in zip(row[:-1], widths)) + row[-1]
+                     for row in [header, *rows])
+
+
+def _window_tables(records: Sequence, protocol: str) -> Tuple[str, str]:
+    """The stream legend and the records table of one window.
+
+    Each distinct ``(dm, sm, gocbRef)`` or ``(dm, sm, svID)`` of the window
+    gets a short name, ``s0``, ``s1``, … in order of first appearance, and
+    one legend row. The identity comes from the capture or the input file, so
+    it is written as a JSON string: a newline, a control character or a
+    trailing space in it is escaped or quoted, and cannot add a line to the
+    prompt. A record's row names its stream in place of the two MAC
+    addresses, so they are written once per window, not once per record.
+    """
+    identity = "gocbRef" if protocol == "GOOSE" else "svID"
+    names = {}
+    rows = []
+    for i, r in enumerate(records):
+        key = (r.dm, r.sm, getattr(r, identity))
+        name = names.get(key)
+        if name is None:
+            name = names[key] = f"s{len(names)}"
+        if protocol == "GOOSE":
+            rows.append([str(i), str(r.time_us), name, str(r.stNum), str(r.sqNum),
+                         "true" if r.data1 else "false", "true" if r.data2 else "false"])
+        else:
+            rows.append([str(i), str(r.time_us), name, str(r.smpCnt)])
+    values = ["stNum", "sqNum", "data1", "data2"] if protocol == "GOOSE" else ["smpCnt"]
+    streams = _table(["stream", "dm", "sm", identity],
+                     [[name, dm, sm, json.dumps(ident)]
+                      for (dm, sm, ident), name in names.items()])
+    return streams, _table(["idx", "time_us", "stream", *values], rows)
 
 
 def build_prompts(dataset: LabeledDataset, rules: RuleSet,
@@ -159,10 +182,12 @@ def build_prompts(dataset: LabeledDataset, rules: RuleSet,
     bundles = []
     for start in range(0, len(dataset.records), cfg.window_size):
         chunk = dataset.records[start : start + cfg.window_size]
+        streams_text, records_text = _window_tables(chunk, dataset.protocol)
         bundle = PromptBundle(
             system_text=_SYSTEM_TEXT,
             rules_text=rules_text,
-            records_text=_records_table(chunk, dataset.protocol),
+            streams_text=streams_text,
+            records_text=records_text,
             window=(start, len(chunk)),
         )
         bundle.validate()

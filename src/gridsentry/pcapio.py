@@ -22,7 +22,10 @@ def read_pcap(file_path) -> List[RawFrame]:
 
     Timestamps are converted to integer microseconds (nanosecond captures
     truncate). Frames come back as captured, 802.1Q tags included. Frames of
-    one call that carry the same MAC address share one ``bytes`` object for it.
+    one call that carry the same MAC address share one ``bytes`` object for
+    it, and those that carry the same ethertype share one ``int``: 0x88B8 and
+    0x88BA lie outside CPython's small-int cache, so each frame would
+    otherwise hold its own.
     Non-Ethernet link types and unknown magics are rejected.
     """
     with open(file_path, "rb") as fh:
@@ -44,7 +47,7 @@ def read_pcap(file_path) -> List[RawFrame]:
             raise UnsupportedFormatError(f"{file_path}: link type {linktype} is not Ethernet")
 
         frames = []
-        macs = {}
+        shared = {}  # one object per distinct MAC and ethertype
         while True:
             rec = fh.read(16)
             if not rec:
@@ -59,10 +62,10 @@ def read_pcap(file_path) -> List[RawFrame]:
                 raise TruncatedCaptureError("frame shorter than an Ethernet header", len(frames))
             micros = ts_frac // 1000 if nanoseconds else ts_frac
             dst_mac, src_mac, ethertype = _ETHERNET_HEADER.unpack_from(data)
-            dst_mac = macs.setdefault(dst_mac, dst_mac)
-            src_mac = macs.setdefault(src_mac, src_mac)
-            frames.append(RawFrame(ts_sec * 1_000_000 + micros, dst_mac, src_mac,
-                                   ethertype, data[14:]))
+            frames.append(RawFrame(ts_sec * 1_000_000 + micros,
+                                   shared.setdefault(dst_mac, dst_mac),
+                                   shared.setdefault(src_mac, src_mac),
+                                   shared.setdefault(ethertype, ethertype), data[14:]))
 
 
 def write_pcap(frames: Iterable[RawFrame], file_path) -> None:

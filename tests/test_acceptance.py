@@ -14,7 +14,18 @@ from gridsentry.errors import ToolkitError
 from gridsentry.llm import ChatClientConfig, RulesMockClient, detect_llm
 from gridsentry.metrics import ConfusionCounts, confusion, metrics
 from gridsentry.pcapio import read_pcap, write_pcap
-from gridsentry.records import GooseRecord, Label, SvRecord, save_jsonl
+from gridsentry.records import (
+    GooseRecord,
+    Label,
+    LabeledDataset,
+    SvRecord,
+    dataset_to_frames,
+    export_csv,
+    extract_records,
+    import_csv,
+    load_jsonl,
+    save_jsonl,
+)
 from gridsentry.rules import (
     Level,
     RuleId,
@@ -232,6 +243,39 @@ def test_criterion_8_pipeline_equivalence(eval_scenarios):
         report = detect_llm(ds, FULL, cfg, RulesMockClient(ds, FULL))
         assert report.failed_windows == []
         assert report.predictions == direct, ds.meta
+
+
+def test_hand_built_goose_injections_checked_like_criteria_2_3_8(tmp_path,
+                                                                goose_di_dataset):
+    """The eval scenarios never fire G_DI_2 or G_DI_3 at the full level, so a
+    hand-built dataset that fires both is held to criteria 2, 3 and 8: its
+    labels are separated perfectly, verdict sets grow with the level, the
+    JSONL, CSV and pcap round trips give the same verdicts at every level,
+    and so does the prompt/parse pipeline over the rules mock."""
+    ds = goose_di_dataset
+    full = detect_batch(ds, FULL)
+    assert {RuleId.G_DI_2, RuleId.G_DI_3} <= {v.rule for v in full}
+    assert verdicts_to_predictions(full, len(ds)) == [l != Label.NORMAL for l in ds.labels]
+
+    save_jsonl(ds, str(tmp_path / "ds.jsonl"))
+    export_csv(ds, str(tmp_path / "ds.csv"))
+    write_pcap(dataset_to_frames(ds), str(tmp_path / "ds.pcap"))
+    goose, _, skipped = extract_records(read_pcap(str(tmp_path / "ds.pcap")))
+    assert skipped.total == 0
+    copies = [load_jsonl(str(tmp_path / "ds.jsonl")),
+              import_csv(str(tmp_path / "ds.csv"), "GOOSE"),
+              LabeledDataset(protocol="GOOSE", records=goose, labels=ds.labels)]
+    cfg = ChatClientConfig(window_size=20)
+    sets = []
+    for rules in (WITHOUT, PARTIAL, FULL):
+        verdicts = detect_batch(ds, rules)
+        for copy in copies:
+            assert detect_batch(copy, rules) == verdicts
+        report = detect_llm(ds, rules, cfg, RulesMockClient(ds, rules))
+        assert report.failed_windows == []
+        assert report.predictions == verdicts_to_predictions(verdicts, len(ds))
+        sets.append({(v.record_index, v.rule) for v in verdicts})
+    assert set() == sets[0] <= sets[1] <= sets[2]
 
 
 def test_criterion_9_cli_determinism(tmp_path):

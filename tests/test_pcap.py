@@ -59,6 +59,19 @@ class TestRoundTrip:
             assert read_pcap(str(path)) == frames
 
 
+    def test_frames_of_one_call_share_macs_and_ethertypes(self, tmp_path):
+        sv = [encode_sv(SvApdu(appid=0x4000, svID="MU01", smpCnt=i), DST, SRC, 10**6 + i)
+              for i in range(3)]
+        path = tmp_path / "x.pcap"
+        write_pcap(_frames(3) + sv, str(path))
+        back = read_pcap(str(path))
+        assert back == _frames(3) + sv
+        for frames in (back[:3], back[3:]):  # GOOSE, then SV
+            assert all(f.ethertype is frames[0].ethertype for f in frames)
+        for f in back:
+            assert f.dst_mac is back[0].dst_mac and f.src_mac is back[0].src_mac
+
+
 class TestMagics:
     def test_little_endian_micro(self, tmp_path):
         path = tmp_path / "le.pcap"
