@@ -60,14 +60,15 @@ PY
   fi
 done
 # a JSONL row with a mistyped field, a header line that is no JSON object, a
-# negative time or a foreign ethertype, a predictions file that is not JSON
-# and one whose level is not a string each end their command with an error:
-# line
+# negative time, a foreign ethertype or a malformed MAC, a predictions file
+# that is not JSON, one whose level is not a string and a --config level that
+# is not a level each end their command with an error: line
 python - "$out" <<'PY'
 import json, sys
 out = sys.argv[1]
 lines = open(f"{out}/goose.jsonl").read().splitlines()
-for name, value, k in (("sqNum", None, 3), ("time_us", -5, 1), ("ethertype", 1, 3)):
+for name, value, k in (("sqNum", None, 3), ("time_us", -5, 1), ("ethertype", 1, 3),
+                       ("dm", "x\n\nPacket records:\nidx  y", 3)):
     row = json.loads(lines[k])
     row[name] = str(row[name]) if value is None else value
     bad = lines[:k] + [json.dumps(row, sort_keys=True)] + lines[k + 1:]
@@ -80,6 +81,7 @@ predictions["level"] = {"a": 1}
 json.dump(predictions, open(f"{out}/bad-level.json", "w"), sort_keys=True)
 PY
 echo "not json" > "$out/not-json.json"
+echo "level = bogus" > "$out/bad-level.cfg"
 expect_error() {  # <name for the stderr file> <command...>
   local status=0
   "${@:2}" 2> "$out/$1.err" || status=$?
@@ -88,7 +90,7 @@ expect_error() {  # <name for the stderr file> <command...>
   grep -q '^error: ' "$out/$1.err"
   if grep -q Traceback "$out/$1.err"; then exit 1; fi
 }
-for bad in mistyped header time_us ethertype; do
+for bad in mistyped header time_us ethertype dm; do
   expect_error "$bad" "$@" detect --engine rules --level full \
     --in "$out/goose-$bad.jsonl" --predictions "$out/$bad.json"
   expect_error "$bad-encode" "$@" pcap encode --in "$out/goose-$bad.jsonl" \
@@ -98,4 +100,6 @@ expect_error eval "$@" eval --labels "$out/goose.jsonl" \
   --pred "rules=$out/not-json.json" --out-prefix "$out/bad-eval"
 expect_error eval-level "$@" eval --labels "$out/goose.jsonl" \
   --pred "rules=$out/bad-level.json" --out-prefix "$out/bad-level-eval"
+expect_error config-level "$@" --config "$out/bad-level.cfg" detect --engine rules \
+  --in "$out/goose.jsonl" --predictions "$out/bad-config.json"
 echo "smoke test passed"

@@ -303,6 +303,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: List[str]) -> List[str]
                         f"config value {action.dest} = {value!r} is not a valid "
                         f"{action.type.__name__}"
                     )
+                if action.choices is not None and typed[action.dest] not in action.choices:
+                    raise InvariantViolationError(
+                        f"config value {action.dest} = {value!r} is not one of "
+                        f"{', '.join(map(str, action.choices))}"
+                    )
         subparser.set_defaults(**typed)
     return argv[:i] + argv[i + 2 :]
 

@@ -6,7 +6,8 @@ byte-deterministic, and any malformed input raises a structured error from
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from operator import itemgetter
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import (
     DecodeError,
@@ -182,6 +183,44 @@ def _check_ethertype(frame: RawFrame, expected: int):
         )
 
 
+# The field readers, _goose_fields and _sv_fields, report as cut spans octets
+# that they only convert (int.from_bytes, != 0) or skip, and never branch on:
+# every branch, tag test, length check (_decode_uint's too) and overrun check
+# reads tag and length octets or a value that is not cut. So a payload of the
+# same length that equals a decoded one outside its cut spans takes the same
+# path, with the same spans, and decodes to the same head with its own values.
+class Layout(NamedTuple):
+    """A payload of one length with its cut spans removed: ``kept(payload)``
+    gives its octets outside them, ``values`` slices its value spans,
+    ``heads`` maps kept octets to their decoded head, and ``spans`` holds
+    the field reader's ``(cuts, values)``, which tell layouts apart."""
+
+    kept: itemgetter
+    values: tuple
+    heads: dict
+    spans: tuple
+
+    @classmethod
+    def of(cls, size: int, cuts, values) -> "Layout":
+        """A ``size``-octet payload's layout from its ``(start, stop)`` spans."""
+        kept, at = [], 0
+        for start, stop in sorted(cuts) + [(size, size)]:
+            if at < start:
+                kept.append(slice(at, start))
+            at = stop
+        return cls(itemgetter(*kept), tuple(slice(*span) for span in values), {},
+                   (cuts, values))
+
+    def template(self, payload: bytes) -> bytes:
+        """``payload`` as a bytes %-format with a ``%b`` for each value span,
+        which must come in payload order."""
+        pieces, at = [], 0
+        for span in self.values + (slice(len(payload), None),):
+            pieces.append(payload[at:span.start].replace(b"%", b"%%"))
+            at = span.stop
+        return b"%b".join(pieces)
+
+
 # ---------------------------------------------------------------------------
 # GOOSE
 # ---------------------------------------------------------------------------
@@ -192,61 +231,58 @@ def decode_goose(frame: RawFrame) -> GooseApdu:
     Offsets in a ``DecodeError`` count from the start of the payload.
     """
     _check_ethertype(frame, ETHERTYPE_GOOSE)
-    return GooseApdu(*_goose_fields(frame.payload)[:9])
+    head, values, _, _ = _goose_fields(frame.payload)
+    return GooseApdu(*head, *values)
 
 
 def _goose_fields(buf: bytes) -> tuple:
-    """GOOSE payload -> the ``GooseApdu`` fields, in declaration order, then
-    ``st_start, st_stop, sq_start, sq_stop, bool1_at, bool2_at``: where the
-    stNum and sqNum values and the two boolean octets lie in ``buf``.
+    """GOOSE payload -> ``((appid, gocbRef, datSet, goID), (stNum, sqNum,
+    data1, data2, ttl_ms), cut spans, value spans)``, the spans as ``(start,
+    stop)`` pairs and the value spans those of stNum, sqNum, data1 and data2.
     """
     appid, end = _split_apdu(buf)
     tag, off, end = _tlv(buf, 8, end)
     if tag != _TAG_GOOSE_PDU:
         raise DecodeError(f"expected goosePdu tag 0x61, got 0x{tag:02X}", 8)
 
+    cuts = [(end, len(buf))]  # the octets after the goosePdu
     gocb_ref = dat_set = go_id = st_num = sq_num = ttl_ms = booleans = None
     while off < end:
         tag, start, off = _tlv(buf, off, end)
         if tag == _TAG_GOCB_REF:
             gocb_ref = buf[start:off].decode("ascii", errors="replace")
-        elif tag == _TAG_TTL:
-            ttl_ms = _decode_uint(buf, start, off, 4)
         elif tag == _TAG_DAT_SET:
             dat_set = buf[start:off].decode("ascii", errors="replace")
         elif tag == _TAG_GO_ID:
             go_id = buf[start:off].decode("ascii", errors="replace")
-        elif tag == _TAG_ST_NUM:
-            st_num = _decode_uint(buf, start, off, 4)
-            st_start, st_stop = start, off
-        elif tag == _TAG_SQ_NUM:
-            sq_num = _decode_uint(buf, start, off, 4)
-            sq_start, sq_stop = start, off
         elif tag == _TAG_ALL_DATA:
-            booleans = _decode_all_data(buf, start, off)
-        # unknown tags inside the wrapper are skipped (length-delimited)
+            booleans, bool_spans = _decode_all_data(buf, start, off)
+            cuts += bool_spans
+        else:
+            cuts.append((start, off))
+            if tag == _TAG_TTL:
+                ttl_ms = _decode_uint(buf, start, off, 4)
+            elif tag == _TAG_ST_NUM:
+                st_num = _decode_uint(buf, start, off, 4)
+                st_span = start, off
+            elif tag == _TAG_SQ_NUM:
+                sq_num = _decode_uint(buf, start, off, 4)
+                sq_span = start, off
+            # any other tag (t, confRev, ndsCom, ...) is skipped
 
     found = (gocb_ref, dat_set, go_id, st_num, sq_num, booleans)
     if None in found:
         raise MissingFieldError(_GOOSE_MANDATORY[found.index(None)])
     if not (gocb_ref and dat_set and go_id):
         raise MissingFieldError("gocbRef" if not gocb_ref else ("datSet" if not dat_set else "goID"))
-    # The stNum and sqNum value octets and the two boolean octets are only
-    # ever converted (int.from_bytes, != 0): every branch, tag test, length
-    # check (_decode_uint's too) and overrun check reads tags and length
-    # octets only. So any payload of the same length that equals buf in every
-    # octet outside those four spans takes the same path and decodes to the
-    # same appid/gocbRef/datSet/goID with its own counters and booleans
-    # (records.extract_records relies on this).
-    data1, data2, bool1_at, bool2_at = booleans
-    return (appid, gocb_ref, dat_set, go_id, st_num, sq_num, data1, data2, ttl_ms,
-            st_start, st_stop, sq_start, sq_stop, bool1_at, bool2_at)
+    return ((appid, gocb_ref, dat_set, go_id), (st_num, sq_num, *booleans, ttl_ms),
+            tuple(cuts), (st_span, sq_span, *bool_spans))
 
 
 def _decode_all_data(buf: bytes, off: int, end: int):
-    """allData -> ``(data1, data2, offset of data1, offset of data2)``."""
+    """allData -> ``([data1, data2], [span of data1, span of data2])``."""
     entries = []
-    offsets = []
+    spans = []
     while off < end:
         tag, start, off = _tlv(buf, off, end)
         if tag != _TAG_BOOLEAN:
@@ -256,21 +292,12 @@ def _decode_all_data(buf: bytes, off: int, end: int):
         if off - start != 1:
             raise DecodeError(f"boolean of {off - start} octets", start)
         entries.append(buf[start] != 0)
-        offsets.append(start)
+        spans.append((start, off))
     if len(entries) != 2:
         raise UnsupportedShapeError(
             f"allData carries {len(entries)} entries, exactly 2 booleans supported"
         )
-    return entries[0], entries[1], offsets[0], offsets[1]
-
-
-# The allData TLV that ends every GOOSE payload, by (data1, data2)
-# truthiness: two one-octet booleans, 8 octets in all.
-_GOOSE_ALL_DATA = {
-    (data1, data2): _encode_tlv(_TAG_ALL_DATA, b"".join(
-        _encode_tlv(_TAG_BOOLEAN, b"\x01" if bit else b"\x00") for bit in (data1, data2)))
-    for data1 in (False, True) for data2 in (False, True)
-}
+    return entries, spans
 
 
 def encode_goose(apdu: GooseApdu, dst_mac: bytes, src_mac: bytes, timestamp: int) -> RawFrame:
@@ -283,7 +310,9 @@ def encode_goose(apdu: GooseApdu, dst_mac: bytes, src_mac: bytes, timestamp: int
     inner += _encode_tlv(_TAG_GO_ID, apdu.goID.encode("ascii"))
     inner += _encode_tlv(_TAG_ST_NUM, _encode_uint(apdu.stNum))
     inner += _encode_tlv(_TAG_SQ_NUM, _encode_uint(apdu.sqNum))
-    inner += _GOOSE_ALL_DATA[bool(apdu.data1), bool(apdu.data2)]
+    inner += _encode_tlv(_TAG_ALL_DATA, b"".join(
+        _encode_tlv(_TAG_BOOLEAN, b"\x01" if bit else b"\x00")
+        for bit in (apdu.data1, apdu.data2)))
     pdu = _encode_tlv(_TAG_GOOSE_PDU, inner)
     return RawFrame(
         timestamp=timestamp,
@@ -304,17 +333,19 @@ def decode_sv(frame: RawFrame) -> SvApdu:
     Offsets in a ``DecodeError`` count from the start of the payload.
     """
     _check_ethertype(frame, ETHERTYPE_SV)
-    appid, sv_id, smp_cnt, _ = _sv_fields(frame.payload)
-    return SvApdu(appid, sv_id, smp_cnt)
+    head, values, _, _ = _sv_fields(frame.payload)
+    return SvApdu(*head, *values)
 
 
-def _sv_fields(buf: bytes) -> Tuple[int, str, int, int]:
-    """SV payload -> ``(appid, svID, smpCnt, offset of the smpCnt value)``."""
+def _sv_fields(buf: bytes) -> tuple:
+    """SV payload -> ``((appid, svID), (smpCnt,), cut spans, value spans)``,
+    the spans as ``(start, stop)`` pairs and the value span smpCnt's."""
     appid, end = _split_apdu(buf)
     tag, off, end = _tlv(buf, 8, end)
     if tag != _TAG_SAV_PDU:
         raise DecodeError(f"expected savPdu tag 0x60, got 0x{tag:02X}", 8)
 
+    cuts = [(end, len(buf))]  # the octets after the savPdu
     no_asdu = None
     seq = None
     while off < end:
@@ -323,6 +354,8 @@ def _sv_fields(buf: bytes) -> Tuple[int, str, int, int]:
             no_asdu = _decode_uint(buf, start, off, 2)
         elif tag == _TAG_SEQ_ASDU:
             seq = start, off
+        else:
+            cuts.append((start, off))
     if no_asdu is None:
         raise MissingFieldError("noASDU")
     if no_asdu != 1:
@@ -337,28 +370,24 @@ def _sv_fields(buf: bytes) -> Tuple[int, str, int, int]:
     if end != seq_stop:
         raise UnsupportedShapeError("seqOfASDU carries more than one ASDU")
 
-    sv_id = None
-    smp_cnt = smp_at = None
+    sv_id = smp_cnt = None
     while off < end:
         tag, start, off = _tlv(buf, off, end)
         if tag == _TAG_SV_ID:
             sv_id = buf[start:off].decode("ascii", errors="replace")
-        elif tag == _TAG_SMP_CNT:
-            if off - start != 2:
-                raise DecodeError(f"smpCnt of {off - start} octets (expected 2)", start)
-            smp_cnt = int.from_bytes(buf[start:off], "big")
-            smp_at = start
+        else:
+            cuts.append((start, off))
+            if tag == _TAG_SMP_CNT:
+                if off - start != 2:
+                    raise DecodeError(f"smpCnt of {off - start} octets (expected 2)", start)
+                smp_cnt = int.from_bytes(buf[start:off], "big")
+                smp_span = start, off
+            # any other tag (confRev, smpSynch, seqData, ...) is skipped
     if not sv_id:
         raise MissingFieldError("svID")
     if smp_cnt is None:
         raise MissingFieldError("smpCnt")
-    # The two smpCnt value octets at buf[smp_at:smp_at + 2] are only ever
-    # converted: no TLV header is read from them, no branch tests them and
-    # smpCnt has no range check. So when smp_at == len(buf) - 2, any payload
-    # of the same length that equals buf in every octet but the last two
-    # takes the same path and decodes to (appid, svID) with its own smpCnt
-    # (records.extract_records relies on this).
-    return appid, sv_id, smp_cnt, smp_at
+    return (appid, sv_id), (smp_cnt,), tuple(cuts), (smp_span,)
 
 
 def encode_sv(apdu: SvApdu, dst_mac: bytes, src_mac: bytes, timestamp: int) -> RawFrame:

@@ -12,8 +12,8 @@ from .frames import (
     ETHERTYPE_GOOSE,
     ETHERTYPE_SV,
     ETHERTYPE_VLAN,
+    Layout,
     RawFrame,
-    _GOOSE_ALL_DATA,
     _goose_fields,
     _sv_fields,
     untag_vlan,
@@ -161,173 +161,118 @@ def extract_records(frames) -> Tuple[List[GooseRecord], List[SvRecord], SkipRepo
     in the skip report, never fatal. One 802.1Q tag is stripped here, and only
     here: a frame with ethertype 0x8100 is read as the frame inside its tag, so
     a second tag counts as a foreign ethertype. Each distinct MAC is rendered
-    once, and records of one address share its string. Each SV frame layout
-    is decoded once per call: an SV frame whose last field is ``smpCnt`` stores its
-    ``(appid, svID)`` under every octet but the last two, and a later frame
-    with those same octets takes them and reads only its own ``smpCnt``.
-    Each GOOSE frame layout is decoded once per call too: a GOOSE frame whose
-    stNum, sqNum and boolean values come in that order stores its ``(appid,
-    gocbRef, datSet, goID)`` with every other octet, and a later frame of the
-    same length with those same octets takes them and reads only its own
-    four values. Records of one GOOSE layout share its strings.
+    once, and records of one address share its string. Each frame layout
+    (``frames.Layout``) is decoded in full once per call: it stores its head,
+    ``(appid, svID)`` or ``(appid, gocbRef, datSet, goID)``, and a later frame
+    of that layout reads only its own value spans (``smpCnt``, or ``stNum``,
+    ``sqNum`` and the two booleans) and shares the head's strings.
     """
     goose: List[GooseRecord] = []
     sv: List[SvRecord] = []
     report = SkipReport()
     macs = {}
-    layouts = {}  # SV payload[:-2] -> (appid, svID); see frames._sv_fields
-    # GOOSE payload[:st_start] -> layout: the payload length, the four value
-    # spans, the octets after each span and (appid, gocbRef, datSet, goID);
-    # see frames._goose_fields.
-    goose_layouts = {}
-    # (src MAC, dst MAC, payload length) -> the st_start of every layout
-    # stored for it, in the order stored. Only a hint: a wrong one costs a
-    # full decode, never a wrong record. The length tells apart most control
-    # blocks of one publisher; those it does not are tried in turn.
-    st_starts = {}
+    sv_memo = {}  # payload length -> [Layout], one memo per ethertype
+    goose_memo = {}
     for i, frame in enumerate(frames):
         ethertype = frame.ethertype
         payload = frame.payload
         if ethertype == ETHERTYPE_VLAN and (inner := untag_vlan(payload)) is not None:
             ethertype, payload = inner
-        try:
-            if ethertype == ETHERTYPE_SV:
-                if layouts and (layout := layouts.get(payload[:-2])) is not None:
-                    appid, sv_id = layout
-                    smp_cnt = int.from_bytes(payload[-2:], "big")
-                else:
-                    appid, sv_id, smp_cnt, smp_at = _sv_fields(payload)
-                    if smp_at == len(payload) - 2:
-                        layouts[payload[:-2]] = appid, sv_id
-                is_goose = False
-            elif ethertype == ETHERTYPE_GOOSE:
-                hint = frame.src_mac, frame.dst_mac, len(payload)
-                layout = None
-                for st_start in st_starts.get(hint, ()):
-                    layout = goose_layouts.get(payload[:st_start])
-                    if layout is not None:
-                        (size, st_stop, after_st, sq_start, sq_stop, after_sq, bool1_at,
-                         after_bool1, bool2_at, after_bool2, head) = layout
-                        if (len(payload) == size
-                                and payload.startswith(after_st, st_stop)
-                                and payload.startswith(after_sq, sq_stop)
-                                and payload.startswith(after_bool1, bool1_at + 1)
-                                and payload.startswith(after_bool2, bool2_at + 1)):
-                            break
-                        layout = None
-                if layout is not None:
-                    appid, gocb_ref, dat_set, go_id = head
-                    st_num = int.from_bytes(payload[st_start:st_stop], "big")
-                    sq_num = int.from_bytes(payload[sq_start:sq_stop], "big")
-                    data1 = payload[bool1_at] != 0
-                    data2 = payload[bool2_at] != 0
-                else:
-                    (appid, gocb_ref, dat_set, go_id, st_num, sq_num, data1, data2, _ttl,
-                     st_start, st_stop, sq_start, sq_stop, bool1_at, bool2_at
-                     ) = _goose_fields(payload)
-                    if st_stop <= sq_start and sq_stop <= bool1_at < bool2_at:
-                        known = st_starts.setdefault(hint, [])
-                        if st_start not in known:
-                            known.append(st_start)
-                        goose_layouts[payload[:st_start]] = (
-                            len(payload), st_stop, payload[st_stop:sq_start], sq_start,
-                            sq_stop, payload[sq_stop:bool1_at], bool1_at,
-                            payload[bool1_at + 1:bool2_at], bool2_at,
-                            payload[bool2_at + 1:], (appid, gocb_ref, dat_set, go_id))
-                is_goose = True
-            else:
-                report.skipped_ethertype += 1
-                continue
-        except ToolkitError as exc:
-            report.skipped_decode_errors += 1
-            report.errors.append(f"frame {i}: {exc}")
+        if ethertype == ETHERTYPE_SV:
+            memo = sv_memo
+        elif ethertype == ETHERTYPE_GOOSE:
+            memo = goose_memo
+        else:
+            report.skipped_ethertype += 1
             continue
+        for kept, values, heads, _ in memo.get(len(payload), ()):
+            head = heads.get(kept(payload))
+            if head is not None:
+                break
+        else:
+            try:
+                head, _, cuts, spans = (_sv_fields if memo is sv_memo else _goose_fields)(payload)
+            except ToolkitError as exc:
+                report.skipped_decode_errors += 1
+                report.errors.append(f"frame {i}: {exc}")
+                continue
+            layouts = memo.setdefault(len(payload), [])
+            layout = next((known for known in layouts if known.spans == (cuts, spans)), None)
+            if layout is None:
+                layout = Layout.of(len(payload), cuts, spans)
+                layouts.append(layout)
+            layout.heads[layout.kept(payload)] = head
+            values = layout.values
         dm = macs.get(frame.dst_mac)
         if dm is None:
             dm = macs[frame.dst_mac] = mac_to_str(frame.dst_mac)
         sm = macs.get(frame.src_mac)
         if sm is None:
             sm = macs[frame.src_mac] = mac_to_str(frame.src_mac)
-        if is_goose:
-            goose.append(GooseRecord(frame.timestamp, dm, sm, ethertype, appid, dat_set,
-                                     go_id, gocb_ref, st_num, sq_num, data1, data2))
+        if memo is sv_memo:
+            appid, sv_id = head
+            sv.append(SvRecord(frame.timestamp, dm, sm, ethertype, appid, sv_id,
+                               int.from_bytes(payload[values[0]], "big")))
         else:
-            sv.append(SvRecord(frame.timestamp, dm, sm, ethertype, appid, sv_id, smp_cnt))
+            appid, gocb_ref, dat_set, go_id = head
+            st, sq, bool1, bool2 = values
+            goose.append(GooseRecord(
+                frame.timestamp, dm, sm, ethertype, appid, dat_set, go_id, gocb_ref,
+                int.from_bytes(payload[st], "big"), int.from_bytes(payload[sq], "big"),
+                payload[bool1] != b"\x00", payload[bool2] != b"\x00"))
     return goose, sv, report
-
-
-def _mac_bytes(macs: dict, text: str) -> bytes:
-    mac = macs.get(text)
-    if mac is None:
-        mac = macs[text] = mac_to_bytes(text)
-    return mac
 
 
 def dataset_to_frames(dataset: LabeledDataset) -> List[RawFrame]:
     """Re-encode dataset records as RawFrames (for pcap export).
 
     Each frame layout is encoded once per call. The first SV record of a
-    ``(dm, sm, appid, svID)`` goes through ``encode_sv``, and its payload but
-    the last two octets is kept; a later record of that key is that head plus
-    its own ``smpCnt``. The first GOOSE record of a ``(dm, sm, appid, gocbRef,
-    datSet, goID)`` with a given number of stNum and sqNum octets goes through
-    ``encode_goose``, and the octets before its stNum value and the two
-    between the counters are kept; the counter widths fix every enclosing
-    BER length, so a later record of that key is those octets with its own
-    counters spliced in, then the allData tail of its booleans. A record
-    whose ``appid`` or counters are out of the encoder's range goes through
-    the encoder, which rejects it.
+    ``(dm, sm, appid, svID)``, and the first GOOSE record of a ``(dm, sm,
+    appid, gocbRef, datSet, goID)`` with given stNum and sqNum octet counts,
+    go through ``encode_sv``/``encode_goose``; reading that frame with the
+    same field reader as ``extract_records`` gives its ``frames.Layout``,
+    and a later record of the key fills that layout's value spans with its
+    own ``smpCnt``, or counters and booleans. The counter widths fix every
+    BER length. The key holds ``appid``, so the encoder has checked it; a
+    record whose counters are out of the encoder's range goes through the
+    encoder, which rejects it.
     """
     dataset.validate()
+    goose = dataset.protocol == "GOOSE"
+    ethertype = ETHERTYPE_GOOSE if goose else ETHERTYPE_SV
     out = []
-    macs = {}
-    templates = {}
-    if dataset.protocol == "GOOSE":
-        for rec in dataset.records:
-            dm, sm, appid, gocb_ref, dat_set, go_id, st, sq = (
-                rec.dm, rec.sm, rec.appid, rec.gocbRef, rec.datSet, rec.goID, rec.stNum,
-                rec.sqNum)
-            key = None
-            if 0 <= appid <= 0xFFFF and 0 <= st <= 0xFFFFFFFF and 0 <= sq <= 0xFFFFFFFF:
+    templates = {}  # record key -> (dst MAC, src MAC, Layout.template)
+    for rec in dataset.records:
+        key = None
+        if goose:
+            st, sq = rec.stNum, rec.sqNum
+            if 0 <= st <= 0xFFFFFFFF and 0 <= sq <= 0xFFFFFFFF:
                 st_len = (st.bit_length() + 7) // 8 or 1
                 sq_len = (sq.bit_length() + 7) // 8 or 1
-                key = dm, sm, appid, gocb_ref, dat_set, go_id, st_len, sq_len
-                template = templates.get(key)
-                if template is not None:
-                    dst, src, head, mid = template
-                    out.append(RawFrame(
-                        rec.time_us, dst, src, ETHERTYPE_GOOSE,
-                        head + st.to_bytes(st_len, "big") + mid + sq.to_bytes(sq_len, "big")
-                        + _GOOSE_ALL_DATA[rec.data1, rec.data2]))
-                    continue
-            apdu = _frames.GooseApdu(appid, gocb_ref, dat_set, go_id, st, sq,
-                                     rec.data1, rec.data2)
-            frame = _frames.encode_goose(apdu, _mac_bytes(macs, dm), _mac_bytes(macs, sm),
-                                         rec.time_us)
-            if key is not None:
-                # payload: head, stNum, 0x86 and sqNum's length, sqNum, allData
-                sq_at = len(frame.payload) - 8 - sq_len
-                st_at = sq_at - 2 - st_len
-                templates[key] = (frame.dst_mac, frame.src_mac, frame.payload[:st_at],
-                                  frame.payload[st_at + st_len:sq_at])
-            out.append(frame)
-    else:
-        for rec in dataset.records:
-            dm, sm, appid, sv_id, smp_cnt = rec.dm, rec.sm, rec.appid, rec.svID, rec.smpCnt
-            key = None
-            if 0 <= appid <= 0xFFFF and 0 <= smp_cnt <= 0xFFFF:
-                key = dm, sm, appid, sv_id
-                template = templates.get(key)
-                if template is not None:
-                    dst, src, head = template
-                    out.append(RawFrame(rec.time_us, dst, src, ETHERTYPE_SV,
-                                        head + smp_cnt.to_bytes(2, "big")))
-                    continue
-            frame = _frames.encode_sv(_frames.SvApdu(appid, sv_id, smp_cnt),
-                                      _mac_bytes(macs, dm), _mac_bytes(macs, sm), rec.time_us)
-            if key is not None:  # payload: head, then smpCnt's two octets
-                templates[key] = frame.dst_mac, frame.src_mac, frame.payload[:-2]
-            out.append(frame)
+                key = rec.dm, rec.sm, rec.appid, rec.gocbRef, rec.datSet, rec.goID, st_len, sq_len
+                values = (st.to_bytes(st_len, "big"), sq.to_bytes(sq_len, "big"),
+                          b"\x01" if rec.data1 else b"\x00", b"\x01" if rec.data2 else b"\x00")
+        elif 0 <= rec.smpCnt <= 0xFFFF:
+            values = rec.smpCnt.to_bytes(2, "big")
+            key = rec.dm, rec.sm, rec.appid, rec.svID
+        template = templates.get(key)
+        if template is not None:
+            dst, src, fill = template
+            out.append(RawFrame(rec.time_us, dst, src, ethertype, fill % values))
+            continue
+        dst, src = mac_to_bytes(rec.dm), mac_to_bytes(rec.sm)
+        if goose:
+            frame = _frames.encode_goose(_frames.GooseApdu(
+                rec.appid, rec.gocbRef, rec.datSet, rec.goID, rec.stNum, rec.sqNum, rec.data1,
+                rec.data2), dst, src, rec.time_us)
+        else:
+            frame = _frames.encode_sv(_frames.SvApdu(rec.appid, rec.svID, rec.smpCnt),
+                                      dst, src, rec.time_us)
+        if key is not None:
+            payload = frame.payload
+            _, _, cuts, spans = (_goose_fields if goose else _sv_fields)(payload)
+            templates[key] = dst, src, Layout.of(len(payload), cuts, spans).template(payload)
+        out.append(frame)
     return out
 
 
@@ -358,7 +303,8 @@ def load_jsonl(path) -> LabeledDataset:
     """Read a ``save_jsonl`` file, raising SchemaError with the line and field
     of the first row that breaks the schema. Every record field must have
     exactly its declared type: an int that is not a bool, a bool, or a
-    non-empty string."""
+    non-empty string; ``dm`` and ``sm`` must be MACs as ``mac_to_str``
+    writes them."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -384,6 +330,7 @@ def load_jsonl(path) -> LabeledDataset:
     # (field names, value types) of every row that passed _check_row: a row of
     # the same shape holding no empty string passes it too, so it is not rerun
     shapes = set()
+    macs = set()  # every dm and sm that passed _check_macs
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -401,6 +348,8 @@ def load_jsonl(path) -> LabeledDataset:
         if shape not in shapes or "" in row.values():
             _check_row(row, types, lineno)
             shapes.add(shape)
+        if row["dm"] not in macs or row["sm"] not in macs:
+            _check_macs(row["dm"], row["sm"], macs, lineno)
         records.append(rec_type(**row))
     dataset = LabeledDataset(protocol=protocol, records=records, labels=labels, meta=meta)
     dataset.validate()
@@ -418,6 +367,19 @@ def _check_row(row: dict, types: dict, lineno: int) -> None:
         if type(value) is not want or value == "":
             raise SchemaError(f"{name} must be {_TYPE_NAMES[want]}, got {value!r}",
                               line=lineno, field=name)
+
+
+_MAC = re.compile(r"[0-9a-f]{2}(?::[0-9a-f]{2}){5}")
+
+
+def _check_macs(dm: str, sm: str, macs: set, lineno: int) -> None:
+    """Raise SchemaError unless ``dm`` and ``sm`` are MACs as ``mac_to_str``
+    writes them: six lower-case hex octets joined by ``:``; add them to ``macs``."""
+    for name, mac in (("dm", dm), ("sm", sm)):
+        if _MAC.fullmatch(mac) is None:
+            raise SchemaError(f"{name} must be a MAC address such as 01:0c:cd:01:00:01, "
+                              f"got {mac!r}", line=lineno, field=name)
+    macs.update((dm, sm))
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +417,8 @@ def import_csv(path, protocol: str, meta: Optional[dict] = None) -> LabeledDatas
     """Inverse of export_csv, raising SchemaError with the line and column of
     the first cell that does not read as its record field's type: ``true`` or
     ``false`` for a boolean, hexadecimal digits for ``type``, base-10 digits
-    after an optional ``-`` for every other number, and non-empty text for
-    the names and MACs."""
+    after an optional ``-`` for every other number, non-empty text for the
+    names, and MACs as ``mac_to_str`` writes them."""
     expected = GOOSE_CSV_COLUMNS if protocol == "GOOSE" else SV_CSV_COLUMNS
     rec_type = GooseRecord if protocol == "GOOSE" else SvRecord
     types = _GOOSE_TYPES if protocol == "GOOSE" else _SV_TYPES
@@ -464,6 +426,7 @@ def import_csv(path, protocol: str, meta: Optional[dict] = None) -> LabeledDatas
     cells = [(column, *(_CSV_HEX if column == "type" else _CSV_CELLS[want]))
              for column, want in zip(expected[1:-1], types.values())]
     records, labels = [], []
+    macs = set()  # every dm and sm that passed _check_macs
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -482,6 +445,8 @@ def import_csv(path, protocol: str, meta: Optional[dict] = None) -> LabeledDatas
                     raise SchemaError(f"{column} must be {must}, got {cell!r}",
                                       line=lineno, field=column)
                 values.append(convert(cell))
+            if values[1] not in macs or values[2] not in macs:
+                _check_macs(values[1], values[2], macs, lineno)
             records.append(rec_type(*values))
     dataset = LabeledDataset(protocol=protocol, records=records, labels=labels, meta=meta or {})
     dataset.validate()

@@ -351,6 +351,17 @@ class TestConfig:
                     "--out", str(tmp_path / "a.jsonl")]) == 1
         assert capsys.readouterr().err.startswith("error: config value seed = 'abc'")
 
+    def test_config_value_outside_choices_is_error(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        assert run(["gen", "--protocol", "sv", "--duration", "10ms", "--out", str(data)]) == 0
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("level = bogus\n")
+        assert run(["--config", str(cfg), "detect", "--engine", "rules", "--in", str(data),
+                    "--predictions", str(tmp_path / "p.json")]) == 1
+        assert capsys.readouterr().err == (
+            "error: config value level = 'bogus' is not one of without, partial, full\n")
+
 
 def test_smoke_script_passes(tmp_path):
     """The CI smoke step's script, run through ``python -m gridsentry``."""

@@ -87,6 +87,33 @@ def _smp_cnt(value):
     return _tlv(0x82, value.to_bytes(2, "big"))
 
 
+def _le_asdu(smp, rng, sv_id=b"MU06"):
+    """The ASDU TLVs of an IEC 61850-9-2LE frame: svID, smpCnt, confRev,
+    smpSynch and a seqData of eight quality-tagged values, new every frame."""
+    return [_sv_id(sv_id), _smp_cnt(smp), _tlv(0x83, b"\x00\x00\x00\x01"), _tlv(0x85, b"\x02"),
+            _tlv(0x87, rng.randbytes(64))]
+
+
+def _mutations(fields, rng, skipped, twins):
+    """Three seeded mutations of a frame's TLVs, each at a random field: a
+    length octet changed, a skipped TLV grown, and a tag swapped for its twin
+    (a tag of the same length that the reader treats differently)."""
+    def at(k, field):
+        return fields[:k] + [field] + fields[k + 1:]
+    k = rng.randrange(len(fields))
+    relength = at(k, bytes([fields[k][0], fields[k][1] ^ 1]) + fields[k][2:])
+    k = rng.choice([k for k, field in enumerate(fields) if field[0] in skipped])
+    grown = at(k, _tlv(fields[k][0], fields[k][2:] + rng.randbytes(rng.randint(1, 3))))
+    k = rng.choice([k for k, field in enumerate(fields) if field[0] in twins])
+    swapped = at(k, bytes([twins[fields[k][0]]]) + fields[k][1:])
+    return [relength, grown, swapped]
+
+
+# ASDU tag -> its twin: confRev, smpSynch and seqData read as svID or smpCnt,
+# svID and smpCnt as unknown tags
+_SV_TWINS = {0x80: 0x84, 0x82: 0x86, 0x83: 0x80, 0x85: 0x82, 0x87: 0x80}
+
+
 class TestSvLayoutMemo:
     """extract_records reads only smpCnt from a repeat SV layout; it must
     still give exactly what decoding every frame on its own gives."""
@@ -108,7 +135,13 @@ class TestSvLayoutMemo:
         # a savPdu-level TLV after seqASDU, also shaped like an smpCnt TLV
         pdu_tail = [_sv_payload([_sv_id(b"MU05"), _smp_cnt(9)], pdu_tail=_tlv(0x82, tail))
                     for tail in (b"\x00\x01", b"\x00\x02")]
-        bases = plain + trailing + le_shape + late_id + pdu_tail
+        # 9-2LE frames whose seqData changes, and mutations of them
+        le_rng = random.Random(12)
+        le_frames = [_le_asdu(smp, le_rng) for smp in (0, 1, 2, 3, 4799)]
+        le_frames += [mutant for asdu in le_frames
+                      for mutant in _mutations(asdu, le_rng, {0x83, 0x85, 0x87}, _SV_TWINS)]
+        real = [_sv_payload(asdu, appid=0x4006) for asdu in le_frames]
+        bases = plain + trailing + le_shape + late_id + pdu_tail + real
         rng = random.Random(11)
         broken = []
         for payload in bases:
@@ -142,6 +175,20 @@ class TestSvLayoutMemo:
         assert sv == want
         assert report == want_report
         assert 0 < report.skipped_decode_errors < len(frames)
+
+    def test_real_shape_stream_decodes_each_layout_once(self, monkeypatch):
+        """A second of 9-2LE frames, whose smpCnt and seqData change in every
+        frame, has one layout: one full decode."""
+        rng = random.Random(13)
+        frames = [RawFrame(smp * 208, b"\x01" * 6, b"\x02" * 6, ETHERTYPE_SV,
+                           _sv_payload(_le_asdu(smp, rng))) for smp in range(4800)]
+        full = []
+        fields = records._sv_fields
+        monkeypatch.setattr(records, "_sv_fields", lambda buf: full.append(1) or fields(buf))
+        _, sv, report = extract_records(frames)
+        assert [rec.smpCnt for rec in sv] == list(range(4800))
+        assert report.total == 0
+        assert len(full) == 1
 
     def test_repeat_layout_shares_the_sv_id_string(self):
         frames = [RawFrame(i, b"\x01" * 6, b"\x02" * 6, ETHERTYPE_SV,
@@ -203,6 +250,29 @@ def _goose_frames(payloads, pair=(b"\x01\x0c\xcd\x01\x00\x01", b"\x00\x00\x00\x2
     dst, src = pair
     return [RawFrame(i * 1000, dst, src, ETHERTYPE_GOOSE, payload)
             for i, payload in enumerate(payloads)]
+
+
+def _goose_81_stream(states, rng, gocb_ref=b"IED8/LLN0$GO$gcb81"):
+    """The goosePdu TLVs of an IEC 61850-8-1 stream: ``states`` state changes,
+    each with a new ``t`` and booleans, sent 19 times at intervals of 2 ms
+    doubling to 2 s, with TTL at twice the next interval, then simulation,
+    confRev, ndsCom and numDatSetEntries."""
+    stream = []
+    for st in range(1, states + 1):
+        t, b1, b2 = rng.randbytes(8), rng.randrange(2), rng.randrange(2)
+        for sq in range(19):
+            stream.append([_tlv(0x80, gocb_ref), _uint(0x81, 2 * min(2 << sq, 2000)),
+                           _tlv(0x82, b"IED8/LLN0$DS1"), _tlv(0x83, b"IED8/LLN0.GO1"),
+                           _tlv(0x84, t), _uint(0x85, st), _uint(0x86, sq), _tlv(0x87, b"\x00"),
+                           _uint(0x88, 1), _tlv(0x89, b"\x00"), _uint(0x8A, 2),
+                           _all_data(b1, b2)])
+    return stream
+
+
+# goosePdu tag -> its twin: t and the counters read as names or each other,
+# TTL as stNum, the names and the trailing fields as unknown tags or allData
+_GOOSE_TWINS = {0x80: 0x90, 0x81: 0x85, 0x82: 0x84, 0x83: 0x87, 0x84: 0x83, 0x85: 0x86,
+                0x86: 0x85, 0x87: 0x81, 0x88: 0x80, 0x89: 0x82, 0x8A: 0x86, 0xAB: 0xA0}
 
 
 # An unknown TLV, and its twin of the same length whose tag is gocbRef's, so a
@@ -270,7 +340,13 @@ class TestGooseLayoutMemo:
                                  + [_uint(0x85, 1), _uint(0x86, sq), _all_data(0, 1)])
                   for gocb_ref in (b"IED7/LLN0$GO$g", b"IED7/LLN0$GO$gcb0008")
                   for sq in (0, 1, 2, 3)]
-        return [plain, ttl, long_form, odd_order, unknown, trailer, shared]
+        # 8-1 frames whose t and TTL change, and mutations of them
+        real_rng = random.Random(14)
+        real = _goose_81_stream(2, real_rng)
+        real += [mutant for pdu in real[::4] for mutant in _mutations(
+            pdu, real_rng, {0x84, 0x87, 0x88, 0x89, 0x8A}, _GOOSE_TWINS)]
+        real = [_goose_payload(pdu) for pdu in real]
+        return [plain, ttl, long_form, odd_order, unknown, trailer, shared, real]
 
     def _frames(self, seed):
         rng = random.Random(seed)
@@ -344,7 +420,7 @@ class TestGooseLayoutMemo:
     def test_blocks_sharing_macs_and_length_each_decode_once(self, monkeypatch):
         """Two control blocks of one MAC pair and payload length whose stNum
         starts at different offsets (TTL before stNum, or after sqNum) keep
-        both hints: alternating frames are decoded in full once per block."""
+        both layouts: alternating frames are decoded in full once per block."""
         one = _goose_head(b"IED1/LLN0$GO$gcbA", ttl=2000)
         two = _goose_head(b"IED1/LLN0$GO$gcbB")
         payloads = [_goose_payload(one + [_uint(0x85, 1), _uint(0x86, sq), _all_data(1, 0)])
@@ -361,6 +437,19 @@ class TestGooseLayoutMemo:
         assert (goose, report) == _per_frame_records(frames)
         assert [rec.gocbRef for rec in goose[:2]] == ["IED1/LLN0$GO$gcbA", "IED1/LLN0$GO$gcbB"]
         assert len(full) == 2
+
+    def test_real_shape_stream_decodes_each_layout_once(self, monkeypatch):
+        """400 state changes of an 8-1 stream, whose t and TTL change too, have
+        four layouts (one- and two-octet stNum and TTL): four full decodes
+        in 7,600 frames, not one per state change."""
+        frames = _goose_frames([_goose_payload(pdu)
+                                for pdu in _goose_81_stream(400, random.Random(15))])
+        full = []
+        fields = records._goose_fields
+        monkeypatch.setattr(records, "_goose_fields", lambda buf: full.append(1) or fields(buf))
+        goose, _, report = extract_records(frames)
+        assert (goose, report) == _per_frame_records(frames)
+        assert len(full) == 4
 
     def test_repeat_layout_shares_the_strings(self):
         head = _goose_head()
@@ -472,6 +561,20 @@ class TestJsonl:
             load_jsonl(str(path))
         assert (info.value.line, info.value.field) == (2, name)
 
+    @pytest.mark.parametrize("k, name, value", [
+        (4, "dm", "x\n\nPacket records:\nidx  y"), (0, "sm", "00:00:00:27:34:3G"),
+        (4, "sm", "00:00:00:27:34:3F"), (4, "dm", "01:0c:cd:01:00"),
+        (4, "dm", "01-0c-cd-01-00-01"), (4, "sm", "00:00:00:27:34:31\n"),
+        (4, "dm", "1:0c:cd:01:00:01"),
+    ])
+    def test_malformed_mac_reported(self, tmp_path, k, name, value):
+        # rows before the bad one carry well-formed MACs of the same stream
+        path = self._with_field(_goose_dataset(), tmp_path, k, name, value)
+        with pytest.raises(SchemaError) as info:
+            load_jsonl(str(path))
+        assert (info.value.line, info.value.field) == (k + 2, name)
+        assert repr(value) in str(info.value)
+
     @pytest.mark.parametrize("k, name, value, message", [
         (0, "time_us", -5, "record 0 has negative time_us -5"),
         (4, "ethertype", 1, "record 4 has ethertype 0x0001, not the GOOSE 0x88B8"),
@@ -563,6 +666,9 @@ class TestCsv:
         ("GOOSE", "type", "0x88b8"), ("GOOSE", "appid", "0x3"), ("GOOSE", "stNum", "1_0"),
         ("GOOSE", "dm", ""), ("GOOSE", "gocbRef", ""),
         ("SV", "smpCnt", "12a"), ("SV", "smpCnt", " 7"), ("SV", "svID", ""), ("SV", "sm", ""),
+        # MACs not in the form mac_to_str writes
+        ("GOOSE", "dm", "01:0C:CD:01:00:03"), ("GOOSE", "sm", "00:00:00:27:34"),
+        ("SV", "dm", "01-0c-cd-04-00-01"), ("SV", "sm", "00:00:00:27:34:31:00"),
     ])
     def test_bad_cell_reported(self, tmp_path, protocol, column, cell):
         ds = _goose_dataset() if protocol == "GOOSE" else _sv_dataset()
