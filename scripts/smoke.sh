@@ -59,10 +59,19 @@ assert json.dumps(gocb_ref) in json.loads(lines[0])["user"], gocb_ref
 PY
   fi
 done
+# --config FILE and --config=FILE, before or after the subcommand, set the
+# same flags as writing them out
+printf 'seed = 7\nduration = 20ms\n' > "$out/gen.cfg"
+"$@" gen --protocol sv --seed 7 --duration 20ms --out "$out/config-flags.jsonl"
+"$@" --config "$out/gen.cfg" gen --protocol sv --out "$out/config-separate.jsonl"
+"$@" gen --protocol sv --out "$out/config-joined.jsonl" --config="$out/gen.cfg"
+cmp "$out/config-flags.jsonl" "$out/config-separate.jsonl"
+cmp "$out/config-flags.jsonl" "$out/config-joined.jsonl"
 # a JSONL row with a mistyped field, a header line that is no JSON object, a
-# negative time, a foreign ethertype or a malformed MAC, a predictions file
-# that is not JSON, one whose level is not a string and a --config level that
-# is not a level each end their command with an error: line
+# negative time, a foreign ethertype, a malformed MAC or a byte that is not
+# UTF-8, a predictions file that is not JSON, one whose level is not a string,
+# a --config level that is not a level and a --config key that names no flag
+# each end their command with an error: line
 python - "$out" <<'PY'
 import json, sys
 out = sys.argv[1]
@@ -79,9 +88,13 @@ open(f"{out}/goose-header.jsonl", "w").write("\n".join(header) + "\n")
 predictions = json.load(open(f"{out}/goose-want.json"))
 predictions["level"] = {"a": 1}
 json.dump(predictions, open(f"{out}/bad-level.json", "w"), sort_keys=True)
+rows = open(f"{out}/goose.jsonl", "rb").read().split(b"\n")
+rows[3] = rows[3].replace(b'"gocbRef": "', b'"gocbRef": "\xff', 1)
+open(f"{out}/goose-utf8.jsonl", "wb").write(b"\n".join(rows))
 PY
 echo "not json" > "$out/not-json.json"
 echo "level = bogus" > "$out/bad-level.cfg"
+echo "sed = 5" > "$out/unknown-key.cfg"
 expect_error() {  # <name for the stderr file> <command...>
   local status=0
   "${@:2}" 2> "$out/$1.err" || status=$?
@@ -90,7 +103,7 @@ expect_error() {  # <name for the stderr file> <command...>
   grep -q '^error: ' "$out/$1.err"
   if grep -q Traceback "$out/$1.err"; then exit 1; fi
 }
-for bad in mistyped header time_us ethertype dm; do
+for bad in mistyped header time_us ethertype dm utf8; do
   expect_error "$bad" "$@" detect --engine rules --level full \
     --in "$out/goose-$bad.jsonl" --predictions "$out/$bad.json"
   expect_error "$bad-encode" "$@" pcap encode --in "$out/goose-$bad.jsonl" \
@@ -102,4 +115,6 @@ expect_error eval-level "$@" eval --labels "$out/goose.jsonl" \
   --pred "rules=$out/bad-level.json" --out-prefix "$out/bad-level-eval"
 expect_error config-level "$@" --config "$out/bad-level.cfg" detect --engine rules \
   --in "$out/goose.jsonl" --predictions "$out/bad-config.json"
+expect_error config-key "$@" --config="$out/unknown-key.cfg" gen --protocol goose \
+  --out "$out/unknown-key.jsonl"
 echo "smoke test passed"

@@ -211,12 +211,16 @@ def cmd_pcap(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The parser of ``--config`` alone, the full parser (which lists
+    ``--config`` too) and the full parser's subcommand parsers by name."""
+    config = argparse.ArgumentParser(prog="gridsentry", add_help=False)
+    config.add_argument("--config", help="key = value file of default flag values")
     parser = argparse.ArgumentParser(
         prog="gridsentry",
         description="IEC 61850 GOOSE/SV anomaly-detection toolkit",
+        parents=[config],
     )
-    parser.add_argument("--config", help="key = value file of default flag values")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen", help="generate a labeled scenario")
@@ -267,31 +271,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=["goose", "sv"],
                    help="which protocol to keep when decoding a mixed capture")
     p.set_defaults(func=cmd_pcap)
-    return parser
+    return config, parser, sub.choices
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: List[str]) -> List[str]:
-    """Values from --config become defaults; explicit flags win."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    try:
-        path = argv[i + 1]
-    except IndexError:
-        parser.error("--config needs a file path")
+def _apply_config(path, subparsers) -> None:
+    """Values from a --config file become flag defaults; explicit flags win.
+    A key must name a flag that takes a value in some subcommand, not
+    necessarily the one run (``-h`` and positionals are no such flags)."""
+    dests = {action.dest for subparser in subparsers.values()
+             for action in subparser._actions if action.option_strings and action.nargs != 0}
     defaults = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvariantViolationError(
-                    f"config line is not key = value: {line!r}"
-                )
-            key, value = (part.strip() for part in line.split("=", 1))
-            defaults[key.replace("-", "_")] = value
-    for subparser in parser._subparsers._group_actions[0].choices.values():
+    for lineno, key, value in rules_mod.read_key_values(path):
+        dest = key.replace("-", "_")
+        if dest not in dests:
+            raise SchemaError(f"config key {key!r} names no flag of any subcommand",
+                              line=lineno, field=key)
+        defaults[dest] = value
+    for subparser in subparsers.values():
         typed = {}
         for action in subparser._actions:
             if action.dest in defaults:
@@ -309,14 +305,16 @@ def _apply_config(parser: argparse.ArgumentParser, argv: List[str]) -> List[str]
                         f"{', '.join(map(str, action.choices))}"
                     )
         subparser.set_defaults(**typed)
-    return argv[:i] + argv[i + 2 :]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    config, parser, subparsers = _build_parser()
     try:
-        argv = _apply_config(parser, argv)
+        # --config may stand anywhere; the full parser gets the rest of argv
+        known, argv = config.parse_known_args(argv)
+        if known.config is not None:
+            _apply_config(known.config, subparsers)
         args = parser.parse_args(argv)
         return args.func(args)
     except (ToolkitError, OSError) as exc:

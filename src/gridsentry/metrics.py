@@ -140,23 +140,3 @@ def render_table(reports: List[MetricsReport], fmt: str = "markdown") -> str:
         sections.append("\n".join(lines))
     return "\n\n".join(sections) + "\n"
 
-
-def load_reports_json(text: str) -> List[MetricsReport]:
-    """Inverse of render_table(..., fmt='json')."""
-    reports = []
-    for item in json.loads(text):
-        counts = ConfusionCounts(**item["counts"])
-        cell = (item["cell"]["detector"], item["cell"]["level"],
-                item["cell"]["protocol"])
-        report = metrics(counts, cell)
-        for name in METRIC_NAMES:
-            stored = item["metrics"][name]
-            derived = getattr(report, name)
-            if (stored is None) != (derived is None) or (
-                    stored is not None and abs(stored - derived) > 1e-9):
-                raise InvariantViolationError(
-                    f"stored metric {name}={stored} disagrees with counts"
-                )
-        reports.append(report)
-    _check_cells(reports)
-    return reports

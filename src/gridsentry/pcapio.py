@@ -7,7 +7,6 @@ from .errors import OrderingViolationError, TruncatedCaptureError, UnsupportedFo
 from .frames import RawFrame
 
 MAGIC_USEC = 0xA1B2C3D4
-MAGIC_USEC_SWAPPED = 0xD4C3B2A1
 MAGIC_NSEC = 0xA1B23C4D
 LINKTYPE_ETHERNET = 1
 

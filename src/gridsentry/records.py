@@ -299,14 +299,25 @@ def save_jsonl(dataset: LabeledDataset, path) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def read_text(path) -> str:
+    """The file at ``path`` decoded as UTF-8 in one pass; a byte that is not
+    UTF-8 raises SchemaError naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text",
+                          line=data.count(b"\n", 0, exc.start) + 1)
+
+
 def load_jsonl(path) -> LabeledDataset:
     """Read a ``save_jsonl`` file, raising SchemaError with the line and field
     of the first row that breaks the schema. Every record field must have
     exactly its declared type: an int that is not a bool, a bool, or a
     non-empty string; ``dm`` and ``sm`` must be MACs as ``mac_to_str``
     writes them."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise SchemaError("empty dataset file", line=1)
     try:

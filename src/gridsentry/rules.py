@@ -22,7 +22,7 @@ from .errors import (
     SchemaError,
     WrongStreamError,
 )
-from .records import GooseRecord, Label, LabeledDataset, SvRecord
+from .records import GooseRecord, Label, LabeledDataset, SvRecord, read_text
 
 SMP_CNT_MODULUS = 4800
 _SMP_CNT_MAX = SMP_CNT_MODULUS - 1
@@ -380,10 +380,11 @@ def detect_batch(dataset: LabeledDataset, rules: RuleSet) -> List[Verdict]:
     Each stream gets a fresh ``StreamState`` and goes record by record
     through the rule core of ``step_goose``/``step_sv``; the verdicts of all
     streams are merged in record order. States are keyed by the plain tuple
-    ``(protocol, sm, dm, identity)``, equal to ``StreamKey.of(rec)``, so a
-    ``StreamKey`` is built once per stream. ``dataset.validate`` guarantees
-    each record's class and the time order, so none of the public steppers'
-    checks is left to run per record.
+    ``(protocol, sm, dm, identity)``, equal to ``StreamKey.of(rec)``, and
+    leave ``StreamState.key`` unset: only the public steppers' stream check
+    reads it. ``dataset.validate`` guarantees each record's class and the
+    time order, so none of the public steppers' checks is left to run per
+    record.
     """
     dataset.validate()
     if rules.level == Level.WITHOUT:
@@ -400,7 +401,7 @@ def detect_batch(dataset: LabeledDataset, rules: RuleSet) -> List[Verdict]:
         key = (protocol, rec.sm, rec.dm, identity(rec))
         state = states.get(key)
         if state is None:
-            state = states[key] = StreamState(key=StreamKey.of(rec))
+            state = states[key] = StreamState()
         verdicts = step(state, rec, rules, i)
         if verdicts:
             all_verdicts.extend(verdicts)
@@ -449,41 +450,51 @@ def save_ruleset(rules: RuleSet, path) -> None:
                 fh.write(f"{name} = {value}\n")
 
 
+def read_key_values(path) -> List[Tuple[int, str, str]]:
+    """The ``(line number, key, value)`` of each ``key = value`` line of a
+    rule-set or config file, both sides stripped; ``#`` starts a comment and
+    blank lines are skipped. A line that is not UTF-8 or not ``key = value``
+    raises SchemaError naming it."""
+    entries = []
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise SchemaError(f"expected key = value, got {line!r}", line=lineno)
+        key, value = (part.strip() for part in line.split("=", 1))
+        entries.append((lineno, key, value))
+    return entries
+
+
 def load_ruleset(path) -> RuleSet:
     """Read a ``save_ruleset`` file. Its ``enabled`` line is optional, and
     must name exactly the rules of its level when present."""
     level = None
     enabled = None
     overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SchemaError(f"expected key = value, got {line!r}", line=lineno)
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key == "level":
-                try:
-                    level = Level(value.lower())
-                except ValueError:
-                    raise SchemaError(f"unknown level {value!r}", line=lineno, field="level")
-            elif key == "enabled":
-                try:
-                    enabled = {RuleId(v.strip()) for v in value.split(",") if v.strip()}
-                except ValueError:
-                    raise SchemaError("unknown rule id", line=lineno, field="enabled")
-                enabled_line = lineno
-            elif key in TimingConfig.__dataclass_fields__:
-                try:
-                    numeric = float(value)
-                except ValueError:
-                    raise SchemaError(f"{key} is not a number: {value!r}",
-                                      line=lineno, field=key)
-                overrides[key] = int(numeric) if numeric.is_integer() and not isinstance(
-                    TimingConfig.__dataclass_fields__[key].default, float) else numeric
-            else:
-                raise SchemaError(f"unknown key {key!r}", line=lineno, field=key)
+    for lineno, key, value in read_key_values(path):
+        if key == "level":
+            try:
+                level = Level(value.lower())
+            except ValueError:
+                raise SchemaError(f"unknown level {value!r}", line=lineno, field="level")
+        elif key == "enabled":
+            try:
+                enabled = {RuleId(v.strip()) for v in value.split(",") if v.strip()}
+            except ValueError:
+                raise SchemaError("unknown rule id", line=lineno, field="enabled")
+            enabled_line = lineno
+        elif key in TimingConfig.__dataclass_fields__:
+            try:
+                numeric = float(value)
+            except ValueError:
+                raise SchemaError(f"{key} is not a number: {value!r}",
+                                  line=lineno, field=key)
+            overrides[key] = int(numeric) if numeric.is_integer() and not isinstance(
+                TimingConfig.__dataclass_fields__[key].default, float) else numeric
+        else:
+            raise SchemaError(f"unknown key {key!r}", line=lineno, field=key)
     if level is None:
         raise SchemaError("rule-set file missing 'level'", line=1, field="level")
     if enabled is not None and enabled != _LEVEL_RULES[level]:

@@ -16,6 +16,7 @@ from .errors import (
     InvariantViolationError,
     UnsupportedInjectionError,
 )
+from .frames import ETHERTYPE_GOOSE, ETHERTYPE_SV
 from .records import GooseRecord, Label, LabeledDataset, SvRecord
 
 GOOSE_DM_DEFAULT = "01:0c:cd:01:00:03"   # IEC multicast prefix + documented low octets
@@ -55,7 +56,7 @@ class ScenarioConfig:
 def _goose_record(time_us, st, sq, data1, data2=False):
     return GooseRecord(
         time_us=time_us, dm=GOOSE_DM_DEFAULT, sm=SM_DEFAULT,
-        ethertype=0x88B8, appid=GOOSE_APPID,
+        ethertype=ETHERTYPE_GOOSE, appid=GOOSE_APPID,
         datSet="IED1/LLN0$ds1", goID="gcb1", gocbRef="IED1/LLN0$GO$gcb1",
         stNum=st, sqNum=sq, data1=data1, data2=data2,
     )
@@ -64,7 +65,7 @@ def _goose_record(time_us, st, sq, data1, data2=False):
 def _sv_record(time_us, smp_cnt):
     return SvRecord(
         time_us=time_us, dm=SV_DM_DEFAULT, sm=SM_DEFAULT,
-        ethertype=0x88BA, appid=SV_APPID, svID="MU01", smpCnt=smp_cnt,
+        ethertype=ETHERTYPE_SV, appid=SV_APPID, svID="MU01", smpCnt=smp_cnt,
     )
 
 

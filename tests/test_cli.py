@@ -332,17 +332,48 @@ class TestPcap:
 
 
 class TestConfig:
-    def test_config_sets_defaults_flags_win(self, tmp_path):
+    @pytest.mark.parametrize("joined", [False, True], ids=["config-path", "config=path"])
+    @pytest.mark.parametrize("before", [True, False], ids=["before-gen", "after-gen"])
+    def test_config_sets_defaults_flags_win(self, tmp_path, joined, before):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("seed = 11\nduration = 50ms\n")
+        flag = [f"--config={cfg}"] if joined else ["--config", str(cfg)]
+
+        def gen(*args):
+            argv = ["gen", "--protocol", "sv", *args]
+            return run(flag + argv if before else argv + flag)
+
         out1 = tmp_path / "a.jsonl"
         out2 = tmp_path / "b.jsonl"
-        assert run(["--config", str(cfg), "gen", "--protocol", "sv",
-                    "--out", str(out1)]) == 0
+        assert gen("--out", str(out1)) == 0
         assert load_jsonl(str(out1)).meta["seed"] == 11
-        assert run(["--config", str(cfg), "gen", "--protocol", "sv",
-                    "--duration", "20ms", "--out", str(out2)]) == 0
+        assert gen("--duration", "20ms", "--out", str(out2)) == 0
         assert len(load_jsonl(str(out2))) < len(load_jsonl(str(out1)))
+
+    @pytest.mark.parametrize("key", ["sed", "help", "action"])
+    def test_unknown_config_key_is_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.txt"
+        out = tmp_path / "a.jsonl"
+        # a key of another subcommand is allowed: one file may serve gen and detect
+        cfg.write_text("level = partial\nseed = 11\n")
+        assert run(["--config", str(cfg), "gen", "--protocol", "sv", "--duration", "10ms",
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        cfg.write_text(f"level = partial\n{key} = 11\n")
+        assert run(["--config", str(cfg), "gen", "--protocol", "sv", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config key '{key}' names no flag of any subcommand (line 2, field '{key}')\n")
+
+    @pytest.mark.parametrize("flag", ["--config", "--rules"])
+    def test_non_utf8_settings_line_is_error(self, tmp_path, capsys, flag):
+        data = tmp_path / "d.jsonl"
+        assert run(["gen", "--protocol", "sv", "--duration", "10ms", "--out", str(data)]) == 0
+        capsys.readouterr()
+        settings = tmp_path / "settings.txt"
+        settings.write_bytes(b"level = full\n# caf\xe9\n")
+        assert run(["detect", "--engine", "rules", "--in", str(data),
+                    "--predictions", str(tmp_path / "p.json"), flag, str(settings)]) == 1
+        assert capsys.readouterr().err == f"error: {settings} is not UTF-8 text (line 2)\n"
 
     def test_malformed_config_value_is_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

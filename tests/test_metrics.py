@@ -6,7 +6,6 @@ from gridsentry.errors import InvariantViolationError
 from gridsentry.metrics import (
     ConfusionCounts,
     confusion,
-    load_reports_json,
     metrics,
     render_table,
 )
@@ -96,21 +95,24 @@ class TestRendering:
         assert "98.18%" in lines[1]
 
     def test_json_round_trip(self):
-        reports = self._reports()
-        text = render_table(reports, fmt="json")
-        back = load_reports_json(text)
-        assert back == reports
-        payload = json.loads(text)
-        assert isinstance(payload, list) and len(payload) == 3
+        payload = json.loads(render_table(self._reports(), fmt="json"))
+        goose_f1 = 2 * (54 / 55) * (54 / 55) / (54 / 55 + 54 / 55)
+        assert payload == [
+            {"cell": {"detector": "rules", "level": "full", "protocol": "GOOSE"},
+             "counts": {"tp": 54, "fp": 1, "tn": 24, "fn": 1},
+             "metrics": {"tpr": 54 / 55, "fpr": 1 / 25, "fnr": 1 / 55,
+                         "precision": 54 / 55, "f1": goose_f1}},
+            {"cell": {"detector": "rules", "level": "without", "protocol": "GOOSE"},
+             "counts": {"tp": 0, "fp": 0, "tn": 0, "fn": 0},
+             "metrics": {"tpr": None, "fpr": None, "fnr": None,
+                         "precision": None, "f1": None}},
+            {"cell": {"detector": "rules", "level": "full", "protocol": "SV"},
+             "counts": {"tp": 58, "fp": 0, "tn": 20, "fn": 2},
+             "metrics": {"tpr": 58 / 60, "fpr": 0.0, "fnr": 2 / 60,
+                         "precision": 1.0, "f1": 2 * (58 / 60) / (1 + 58 / 60)}},
+        ]
 
     def test_duplicate_cell_rejected(self):
         r = metrics(ConfusionCounts(tp=1, fp=0, tn=1, fn=0), cell=("a", "b", "c"))
         with pytest.raises(InvariantViolationError):
             render_table([r, r], fmt="markdown")
-
-    def test_tampered_json_rejected(self):
-        text = render_table(self._reports(), fmt="json")
-        payload = json.loads(text)
-        payload[0]["metrics"]["tpr"] = 0.5
-        with pytest.raises(InvariantViolationError):
-            load_reports_json(json.dumps(payload))

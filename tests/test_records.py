@@ -591,15 +591,17 @@ class TestJsonl:
             load_jsonl(str(path))
         assert (info.value.line, info.value.field) == (5, "ttl")
 
-    @pytest.mark.parametrize("line", ["[1, 2]", "7", '"text"', "null", "[" * 100_000],
-                             ids=["list", "number", "string", "null", "deep"])
+    @pytest.mark.parametrize("line", ["[1, 2]", "7", '"text"', "null", "[" * 100_000,
+                                      '{"svID": "MU\udcff"}'],
+                             ids=["list", "number", "string", "null", "deep", "not-utf8"])
     def test_record_line_that_is_no_object_reported(self, tmp_path, line):
         ds = _sv_dataset()
         path = tmp_path / "x.jsonl"
         save_jsonl(ds, str(path))
         lines = path.read_text().splitlines()
         lines[2] = line
-        path.write_text("\n".join(lines) + "\n")
+        # a lone surrogate escape writes the byte 0xff, which is not UTF-8
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
         with pytest.raises(SchemaError) as info:
             load_jsonl(str(path))
         assert info.value.line == 3

@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from gridsentry.errors import InvariantViolationError, SchemaError, WrongStreamError
+from gridsentry.errors import (
+    InputOrderError,
+    InvariantViolationError,
+    SchemaError,
+    WrongStreamError,
+)
 from gridsentry.records import GooseRecord, Label, LabeledDataset, SvRecord
 from gridsentry.rules import (
     GOOSE_RULES,
@@ -239,6 +244,14 @@ class TestBatch:
                          appid=0x40, svID="OTHER", smpCnt=2)
         with pytest.raises(WrongStreamError):
             step_sv(state, other, FULL)
+
+    @pytest.mark.parametrize("protocol", ["GOOSE", "SV"])
+    def test_time_regression_guard(self, protocol):
+        step, first, earlier = ((step_goose, g(625, 1, 0), g(208, 1, 1)) if protocol == "GOOSE"
+                                else (step_sv, s(625, 3), s(208, 4)))
+        state, _ = step(StreamState(), first, FULL)
+        with pytest.raises(InputOrderError, match="time regressed from 625 to 208"):
+            step(state, earlier, FULL)
 
     @pytest.mark.parametrize("protocol", ["GOOSE", "SV"])
     def test_batch_rejects_other_protocol_record(self, protocol):
